@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -74,12 +73,8 @@ func cmdWorkload(args []string) {
 type serveBackend struct {
 	newReader      func(verify bool) func(u, v graph.Node) (got, mismatch bool)
 	newBatchReader func(verify bool) func(us, vs []graph.Node, out []bool) (mismatches int)
-	// sched answers one quotient query through the store's wave scheduler
-	// (-batch auto); schedStats is its shutdown report.
-	sched      func(u, v graph.Node) bool
-	schedStats func() store.SchedStats
-	apply      func(batch []graph.Update) error
-	report     func(mismatches int64)
+	apply          func(batch []graph.Update) error
+	report         func(mismatches int64)
 	// health is non-nil only for durable stores: the writer rides through
 	// degraded windows by stalling (the store self-heals) instead of
 	// dying, and the shutdown report includes the health summary.
@@ -101,7 +96,7 @@ func cmdServe(args []string) {
 	in := fs.String("in", "", "input graph file")
 	workload := fs.String("workload", "", "workload file (qpgc workload)")
 	readers := fs.Int("readers", 4, "reader goroutines")
-	qbatchFlag := fs.String("batch", "", "queries coalesced per vectorized read: n (1 = scalar; 0/empty = workload's batch directive, else 1) or \"auto\" (adaptive scheduler waves)")
+	qbatchFlag := fs.Int("batch", 0, "queries coalesced per vectorized read (1 = scalar; 0 = workload's batch directive, else 1)")
 	wbatch := fs.Int("wbatch", 64, "updates per ApplyBatch")
 	shards := fs.Int("shards", 1, "shard count (1 = monolithic store; ignored when -data recovers)")
 	target := fs.String("target", "gr", "read path: gr (compressed), g (original), hop2 (index on Gr; monolithic only)")
@@ -126,27 +121,9 @@ func cmdServe(args []string) {
 	if *wbatch < 1 {
 		fatal(fmt.Errorf("serve: -wbatch must be >= 1"))
 	}
-	// -batch auto is the sentinel qbatch = -1: readers feed point queries
-	// to the store's wave scheduler, which coalesces them adaptively.
-	qbatch := 0
-	switch *qbatchFlag {
-	case "", "0":
-	case "auto":
-		qbatch = -1
-	default:
-		n, err := strconv.Atoi(*qbatchFlag)
-		if err != nil || n < 0 {
-			fatal(fmt.Errorf("serve: -batch must be a non-negative integer or \"auto\""))
-		}
-		qbatch = n
-	}
-	if qbatch == -1 {
-		if *verify {
-			fatal(fmt.Errorf("serve: -verify cross-checks a snapshot pinned per batch, but -batch auto waves pin their own; use a fixed -batch n"))
-		}
-		if *target != "gr" {
-			fatal(fmt.Errorf("serve: -batch auto answers on the quotient; it requires -target gr"))
-		}
+	qbatch := *qbatchFlag
+	if qbatch < 0 {
+		fatal(fmt.Errorf("serve: -batch must be >= 0"))
 	}
 	var syncMode store.SyncMode
 	switch *syncFlag {
@@ -316,10 +293,8 @@ func cmdServe(args []string) {
 					return mm
 				}
 			},
-			sched:      s.SchedReachable,
-			schedStats: s.SchedStats,
-			apply:      func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
-			health:     health,
+			apply:  func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
+			health: health,
 			report: func(mismatches int64) {
 				st := s.Stats()
 				fmt.Printf("writer: epoch %d (%d updates, %d cross-shard edges at close)\n",
@@ -416,10 +391,8 @@ func cmdServe(args []string) {
 					return mm
 				}
 			},
-			sched:      s.SchedReachable,
-			schedStats: s.SchedStats,
-			apply:      func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
-			health:     health,
+			apply:  func(batch []graph.Update) error { _, err := s.ApplyBatch(batch); return err },
+			health: health,
 			report: func(mismatches int64) {
 				st := s.Stats()
 				fmt.Printf("writer: epoch %d (%d updates)\n", st.Epoch, st.Updates)
@@ -510,20 +483,6 @@ func runServe(b serveBackend, ops []gen.Op, readers, batchSize, qbatch, shards i
 	for r := 0; r < readers; r++ {
 		go func(r int) {
 			defer wg.Done()
-			if qbatch == -1 {
-				// -batch auto: every reader feeds the store's wave
-				// scheduler, which coalesces the queued points into
-				// adaptively sized 64-lane sweeps across all readers.
-				for op := range queryCh {
-					t0 := time.Now()
-					got := b.sched(op.U, op.V)
-					latencies[r] = append(latencies[r], time.Since(t0))
-					if got {
-						reached.Add(1)
-					}
-				}
-				return
-			}
 			if qbatch <= 1 {
 				answer := b.newReader(verify)
 				for op := range queryCh {
@@ -650,15 +609,6 @@ feed:
 		nq, target, readers, shards, readElapsed.Round(time.Millisecond),
 		float64(nq)/readElapsed.Seconds())
 	switch {
-	case qbatch == -1:
-		st := b.schedStats()
-		fmt.Printf("scheduled reads (-batch auto): %d workers, %d waves in flight at close\n",
-			st.Workers, st.WavesInFlight)
-		fmt.Printf("scheduler: %d waves, mean wave size %.1f (target %d), %d singles coalesced\n",
-			st.Waves, st.MeanWaveSize, st.TargetWave, st.Singles)
-		fmt.Printf("scheduler: cluster hit rate %.1f%%  hub-cache hit rate %.1f%% (%d lanes, %d prunes)  hop2 peeled %d\n",
-			100*st.ClusterHitRate, 100*st.HubCacheHitRate, st.HubCacheLanes, st.HubCachePrunes, st.Hop2Peeled)
-		fmt.Printf("latency p50 %v  p99 %v  max %v\n", pctl(0.50), pctl(0.99), pctl(1.0))
 	case qbatch > 1:
 		nb := servedBatches.Load()
 		mean := 0.0

@@ -277,18 +277,18 @@ func renderTop(w io.Writer, cur, prev metricSample, dt time.Duration, rpcEpoch u
 		cur.get("qpgc_server_epoch_waits_total"),
 		cur.get("qpgc_server_rejects_total"))
 	if n := cur.get("qpgc_sched_waves_total"); n > 0 {
-		lanes := cur.get("qpgc_sched_lanes_total")
+		// Batches of one wave or less bypass the scheduler but still run
+		// the hub cache, so its hit rate is over every batch-path lane.
 		hub := cur.get("qpgc_sched_hub_lanes_total")
 		var hubPct float64
-		if lanes > 0 {
-			hubPct = 100 * hub / lanes
+		if blanes := cur.get("qpgc_sched_batch_lanes_total"); blanes > 0 {
+			hubPct = 100 * hub / blanes
 		}
-		fmt.Fprintf(w, "sched   waves %.0f  lanes %.0f  clustered %.0f  hub-cached %.0f (%.0f%%)  queue %.0f  target %.0f\n",
-			n, lanes,
+		fmt.Fprintf(w, "sched   waves %.0f  lanes %.0f  clustered %.0f  hub-cached %.0f (%.0f%%)  queue %.0f\n",
+			n, cur.get("qpgc_sched_lanes_total"),
 			cur.get("qpgc_sched_clustered_lanes_total"),
 			hub, hubPct,
-			cur.get("qpgc_sched_queue_depth"),
-			cur.get("qpgc_sched_target_wave"))
+			cur.get("qpgc_sched_queue_depth"))
 	}
 	if n := cur.get("qpgc_wal_appends_total"); n > 0 {
 		commits := cur.get("qpgc_wal_group_commits_total")

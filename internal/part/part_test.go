@@ -92,40 +92,6 @@ func TestSplitInvariants(t *testing.T) {
 	}
 }
 
-// TestSubsetClosure pins reach.SubsetClosure against brute-force BFS over
-// the original graph for a random node subset.
-func TestSubsetClosure(t *testing.T) {
-	for name, g := range randomGraphs(2) {
-		rc := reach.Compress(g)
-		gr := rc.Gr.Freeze()
-		gcsr := g.Freeze()
-		rng := rand.New(rand.NewSource(3))
-		var subset []graph.Node
-		for v := 0; v < g.NumNodes(); v++ {
-			if rng.Intn(4) == 0 {
-				subset = append(subset, graph.Node(v))
-			}
-		}
-		got := make(map[[2]int32]bool)
-		for _, pr := range rc.SubsetClosure(gr, subset) {
-			got[pr] = true
-		}
-		sc := queries.NewScratch(0)
-		for i, u := range subset {
-			for j, v := range subset {
-				if i == j {
-					continue
-				}
-				want := queries.ReachableBiCSR(gcsr, sc, u, v)
-				if got[[2]int32{int32(i), int32(j)}] != want {
-					t.Fatalf("%s: SubsetClosure(%d→%d)=%v want %v",
-						name, u, v, !want, want)
-				}
-			}
-		}
-	}
-}
-
 // TestStitchedIsBisimulation verifies the stitched partition is a stable
 // label-respecting partition of the full graph — the property that makes
 // cross-shard Match exact — and that matching on the stitched quotient

@@ -28,8 +28,8 @@ const MaxBatch = 64
 //
 // The zero-cost composition surface is Begin / Seed / Target / RunForward /
 // RunBackward plus Reached and Lanes, which the sharded routing layer uses
-// to batch its summary hop; BatchReachable, BatchDescendants and
-// BatchAncestors are the packaged forms.
+// to batch its summary hop; BatchReachable and BatchDescendants are the
+// packaged forms.
 type BatchScratch struct {
 	stamp   []uint32 // per node: epoch at which mask/pend became valid
 	mask    []uint64 // lanes that reached the node by a nonempty path
@@ -858,18 +858,6 @@ func BatchDescendants(c *graph.CSR, bs *BatchScratch, us []graph.Node) [][]graph
 		bs.Seed(u, 1<<uint(i))
 	}
 	bs.RunForward(c)
-	return bs.collect(len(us))
-}
-
-// BatchAncestors is the predecessor-direction mirror of BatchDescendants:
-// out[i] lists every node with a nonempty path to us[i].
-func BatchAncestors(c *graph.CSR, bs *BatchScratch, us []graph.Node) [][]graph.Node {
-	checkBatch(len(us))
-	bs.Begin(c.NumNodes())
-	for i, u := range us {
-		bs.Seed(u, 1<<uint(i))
-	}
-	bs.RunBackward(c)
 	return bs.collect(len(us))
 }
 

@@ -59,8 +59,9 @@ func TestBatchReachableMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchDescendantsAncestorsMatchScalar checks the set-valued forms
-// against the scalar boolean-slice traversals.
+// TestBatchDescendantsAncestorsMatchScalar checks the set-valued forward
+// form and the backward lane sweep against the scalar boolean-slice
+// traversals.
 func TestBatchDescendantsAncestorsMatchScalar(t *testing.T) {
 	for name, g := range batchTopologies(9) {
 		c := g.Freeze()
@@ -72,12 +73,22 @@ func TestBatchDescendantsAncestorsMatchScalar(t *testing.T) {
 			us[i] = graph.Node(rng.Intn(n))
 		}
 		desc := queries.BatchDescendants(c, bs, us)
-		anc := queries.BatchAncestors(c, bs, us)
 		for i, u := range us {
-			wantD := queries.Descendants(g, u)
-			wantA := queries.Ancestors(g, u)
-			checkSet(t, name+" descendants", u, desc[i], wantD)
-			checkSet(t, name+" ancestors", u, anc[i], wantA)
+			checkSet(t, name+" descendants", u, desc[i], queries.Descendants(g, u))
+		}
+		// The backward sweep the sharded router's summary hop runs: lane i
+		// must reach exactly the ancestors of us[i].
+		bs.Begin(n)
+		for i, u := range us {
+			bs.Seed(u, 1<<uint(i))
+		}
+		bs.RunBackward(c)
+		for i, u := range us {
+			for v, want := range queries.Ancestors(g, u) {
+				if got := bs.Lanes(graph.Node(v))>>uint(i)&1 == 1; got != want {
+					t.Fatalf("%s ancestors of %d: node %d got %v want %v", name, u, v, got, want)
+				}
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/pattern"
 	"repro/internal/store"
 )
 
@@ -254,6 +255,23 @@ func (s *Server) waitEpoch(minEpoch uint64) (uint64, error) {
 	}
 }
 
+// answerAt runs read until the backend's epoch reads the same before and
+// after it, and returns the answer with that epoch. epoch is the reading
+// taken before the first call. A publish landing during read may have
+// served the answer from the newer snapshot, so the answer is taken again
+// rather than stamped with an epoch it may not come from. The loop ends
+// once one answer runs between two publishes.
+func answerAt[T any](b Backend, epoch uint64, read func() T) (T, uint64) {
+	for {
+		res := read()
+		after := b.Epoch()
+		if after == epoch {
+			return res, epoch
+		}
+		epoch = after
+	}
+}
+
 // handleRequest decodes one request frame and emits its response frames.
 // It returns an error only for IO failure on emit; protocol-level problems
 // become MsgErr responses. FuzzHandleRequest drives this function with
@@ -289,19 +307,19 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			sp.Finish()
 			return emit(MsgErr, s.errBody(err))
 		}
-		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		// Quotient-level reads go through the wave scheduler so point
 		// queries queued by concurrent connections coalesce into shared
 		// 64-lane sweeps; onG reads bypass it (the sweep answers on the
 		// quotient only).
-		var reach bool
-		if onG == 1 {
-			reach = s.backend.Reachable(graph.Node(u), graph.Node(v), true)
-		} else {
-			reach = s.backend.SchedReachable(graph.Node(u), graph.Node(v))
-		}
+		reach, epoch := answerAt(s.backend, epoch, func() bool {
+			if onG == 1 {
+				return s.backend.Reachable(graph.Node(u), graph.Node(v), true)
+			}
+			return s.backend.SchedReachable(graph.Node(u), graph.Node(v))
+		})
 		sp.Step(obs.StageWave)
 		sp.Finish()
+		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		if reach {
 			out = append(out, 1)
 		} else {
@@ -339,7 +357,7 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		res := s.backend.BatchReachable(us, vs)
+		res, epoch := answerAt(s.backend, epoch, func() []bool { return s.backend.BatchReachable(us, vs) })
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(res)))
 		for _, b := range res {
@@ -367,7 +385,7 @@ func (s *Server) handleRequest(t MsgType, body []byte, emit func(MsgType, []byte
 			s.ob.reject()
 			return emit(MsgErr, s.errBody(err))
 		}
-		res := s.backend.Match(p)
+		res, epoch := answerAt(s.backend, epoch, func() *pattern.Result { return s.backend.Match(p) })
 		out := binary.LittleEndian.AppendUint64(nil, epoch)
 		out = encodeResult(out, res)
 		return emit(MsgMatched, out)

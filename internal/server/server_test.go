@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,3 +389,87 @@ func TestReadOnlyBackendError(t *testing.T) {
 type readOnly struct{ Backend }
 
 func (readOnly) Apply([]graph.Update) (uint64, error) { return 0, ErrReadOnly }
+
+// TestReadStampMatchesAnswer publishes a new epoch inside each read, after
+// the server's epoch wait: every response must carry the epoch its answer
+// came from, not the one seen before the read.
+func TestReadStampMatchesAnswer(t *testing.T) {
+	b := &racingBackend{}
+	b.epoch.Store(4)
+	srv, err := Start("127.0.0.1:0", Options{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	pt := pattern.New()
+	pt.AddNode("L0")
+	for i := 0; i < 3; i++ {
+		for _, onG := range []bool{false, true} {
+			b.publishOnRead.Store(true)
+			got, e, err := cli.Reachable(0, 1, 0, onG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != (e%2 == 1) {
+				t.Fatalf("point read (onG %v) stamped %d answered from another epoch", onG, e)
+			}
+		}
+		b.publishOnRead.Store(true)
+		res, e, err := cli.BatchReachable([]graph.Node{0, 1}, []graph.Node{1, 0}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0] != (e%2 == 1) {
+			t.Fatalf("batch read stamped %d answered from another epoch", e)
+		}
+		b.publishOnRead.Store(true)
+		m, e, err := cli.Match(pt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sets[0][0] != graph.Node(e) {
+			t.Fatalf("match stamped %d answered from epoch %d", e, m.Sets[0][0])
+		}
+	}
+}
+
+// racingBackend answers every read from its current epoch, encoded in the
+// answer, and publishes once inside the next read after publishOnRead is
+// set — a write landing between the server's epoch read and its answer.
+type racingBackend struct {
+	Backend
+	epoch         atomic.Uint64
+	publishOnRead atomic.Bool
+}
+
+func (b *racingBackend) Epoch() uint64 { return b.epoch.Load() }
+func (b *racingBackend) NumNodes() int { return 100 }
+
+// read returns the epoch the answer is taken at.
+func (b *racingBackend) read() uint64 {
+	if b.publishOnRead.Swap(false) {
+		b.epoch.Add(1)
+	}
+	return b.epoch.Load()
+}
+
+func (b *racingBackend) Reachable(u, v graph.Node, onG bool) bool { return b.read()%2 == 1 }
+func (b *racingBackend) SchedReachable(u, v graph.Node) bool      { return b.read()%2 == 1 }
+
+func (b *racingBackend) BatchReachable(us, vs []graph.Node) []bool {
+	out := make([]bool, len(us))
+	e := b.read()
+	for i := range out {
+		out[i] = e%2 == 1
+	}
+	return out
+}
+
+func (b *racingBackend) Match(p *pattern.Pattern) *pattern.Result {
+	return &pattern.Result{Sets: [][]graph.Node{{graph.Node(b.read())}}, OK: true}
+}

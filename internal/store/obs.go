@@ -73,7 +73,7 @@ func (so *storeObs) ageSeconds() float64 {
 	return time.Since(time.Unix(0, so.lastPublish.Load())).Seconds()
 }
 
-// bindSchedObs registers the scheduler's counters and controller state with
+// bindSchedObs registers the scheduler's counters and pool state with
 // the registry and hands the scheduler its wave-latency histogram.
 func bindSchedObs(r *obs.Registry, sc *scheduler) {
 	if r == nil || sc == nil {
@@ -89,11 +89,6 @@ func bindSchedObs(r *obs.Registry, sc *scheduler) {
 		sc.mu.Lock()
 		defer sc.mu.Unlock()
 		return float64(len(sc.q))
-	})
-	r.GaugeFunc("qpgc_sched_target_wave", func() float64 {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return float64(sc.targetLocked())
 	})
 	r.GaugeFunc("qpgc_sched_workers", func() float64 {
 		sc.mu.Lock()

@@ -7,21 +7,17 @@
 //     by the pool workers AND the calling goroutine together — the caller
 //     is never idle while its own batch runs.
 //   - Singles (SchedReachable / the network tier's queued point queries):
-//     enqueued items coalesce into shared waves cut by whichever worker
-//     wakes first, so concurrent point queries from many connections pay
-//     one lane sweep instead of one BFS each.
+//     whichever worker wakes first takes everything queued, up to one
+//     64-lane wave, sorts it by the same locality key, and runs it, so
+//     concurrent point queries from many connections pay one lane sweep
+//     instead of one BFS each.
 //
-// An adaptive controller sizes the singles waves from OBSERVED state
-// instead of a fixed -batch n: an EWMA of queue depth at cut time sets the
-// target wave width, and an EWMA of per-wave latency bounds how long an
-// undersized cut lingers for stragglers (a fraction of one wave's cost, so
-// lingering can never dominate latency). Waves always run against the
-// snapshot current at cut time — each query still sees one consistent
-// epoch, and a pinned batch sees exactly one epoch end to end.
+// Waves always run against the snapshot current at cut time — each query
+// still sees one consistent epoch, and a pinned batch sees exactly one
+// epoch end to end.
 package store
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -38,13 +34,6 @@ const (
 	// schedMinPinnedWave is the floor for pinned-batch wave splitting:
 	// below it per-wave constants dominate the sweep.
 	schedMinPinnedWave = 8
-	// schedDepthGain / schedLatGain are the controller's EWMA gains for
-	// observed queue depth and per-wave latency.
-	schedDepthGain = 0.25
-	schedLatGain   = 0.2
-	// schedMaxLinger caps how long an undersized singles cut waits for
-	// stragglers regardless of what the latency EWMA suggests.
-	schedMaxLinger = 100 * time.Microsecond
 	// schedClusterMinBuckets is the locality-bucket count below which a
 	// pinned batch skips the cluster sort: the sweep's scan range is that
 	// many bitmap words wide at most, so there is nothing to narrow. Kept
@@ -54,7 +43,7 @@ const (
 )
 
 // SchedStats is a point-in-time report of the multi-wave scheduler plus
-// the batch read path's hybrid-leaf counters, as printed by qpgc serve.
+// the batch read path's hybrid-leaf counters.
 type SchedStats struct {
 	// Workers is the pool size; WavesInFlight counts waves executing at
 	// the instant of the call (pool workers and helping callers alike).
@@ -65,9 +54,6 @@ type SchedStats struct {
 	Waves        uint64
 	Lanes        uint64
 	MeanWaveSize float64
-	// TargetWave is the controller's current singles wave-width target
-	// (EWMA of queue depth, clamped to [1, MaxBatch]).
-	TargetWave int
 	// Singles counts point queries coalesced through the scheduler.
 	Singles uint64
 	// ClusteredLanes counts lanes placed next to a lane with the same
@@ -122,19 +108,17 @@ type scheduler struct {
 	buckets func() int // locality-bucket count hint; nil = always sort
 	run     func(us, vs []graph.Node, out []bool)
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	q         []schedItem
-	jobs      []*pinnedJob
-	closed    bool
-	gen       int // bumped by setWorkers; a worker exits when it changes
-	workers   int
-	ewmaDepth float64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	q       []schedItem
+	jobs    []*pinnedJob
+	closed  bool
+	gen     int // bumped by setWorkers; a worker exits when it changes
+	workers int
 
-	ewmaLatNs  atomic.Uint64 // math.Float64bits encoded
-	chans      sync.Pool     // chan bool, capacity 1
-	waveBufs   sync.Pool     // *waveBuf, MaxBatch capacity
-	pinScratch sync.Pool     // *pinScratch, grown to the largest batch
+	chans      sync.Pool // chan bool, capacity 1
+	waveBufs   sync.Pool // *waveBuf, MaxBatch capacity
+	pinScratch sync.Pool // *pinScratch, grown to the largest batch
 
 	inFlight  atomic.Int64
 	waves     atomic.Uint64
@@ -189,7 +173,7 @@ func (sc *scheduler) worker(gen int) {
 			sc.runPinnedWave(job, lo, hi)
 			continue
 		}
-		sc.cutSinglesLocked(gen)
+		sc.cutSinglesLocked()
 	}
 }
 
@@ -423,41 +407,27 @@ func (sc *scheduler) query(u, v graph.Node) (ans, ok bool) {
 	return ans, true
 }
 
-// cutSinglesLocked cuts one wave from the singles queue — adapting its
-// width to the depth EWMA and lingering (bounded by a fraction of the
-// latency EWMA) when the queue is shallower than target — then runs it
-// against the current snapshot. Called with mu held; returns with mu
-// released.
-func (sc *scheduler) cutSinglesLocked(gen int) {
-	sc.ewmaDepth += schedDepthGain * (float64(len(sc.q)) - sc.ewmaDepth)
-	if len(sc.q) < sc.targetLocked() {
-		linger := time.Duration(sc.loadLat() / 4)
-		if linger > schedMaxLinger {
-			linger = schedMaxLinger
-		}
-		if linger > 0 {
-			sc.mu.Unlock()
-			time.Sleep(linger)
-			sc.mu.Lock()
-			if sc.closed || sc.gen != gen {
-				sc.mu.Unlock()
-				return
-			}
-		}
-	}
+// cutSinglesLocked takes whatever is queued, up to one wave, and runs it
+// against the current snapshot. Called with mu held and the queue
+// non-empty; returns with mu released.
+func (sc *scheduler) cutSinglesLocked() {
 	k := min(len(sc.q), queries.MaxBatch)
-	if k == 0 {
-		sc.mu.Unlock()
-		return
-	}
 	items := make([]schedItem, k)
 	copy(items, sc.q[:k])
 	rest := copy(sc.q, sc.q[k:])
 	sc.q = sc.q[:rest]
 	sc.mu.Unlock()
+	sc.runSingles(items)
+}
 
-	// Cluster the wave: lanes sorted by locality key share frontiers in
-	// the lane sweep.
+// runSingles answers one wave of queued point queries (at most MaxBatch)
+// against the current snapshot and hands each its answer. The wave is
+// sorted by locality key first, so lanes that share frontiers sit together
+// in the sweep. Most waves hold one lane; the sort stays because removing
+// it made point-read latency measurably less steady (DESIGN.md, "Why
+// point-read coalescing and the cluster sort stay").
+func (sc *scheduler) runSingles(items []schedItem) {
+	k := len(items)
 	keys := make([]uint64, k)
 	for i, it := range items {
 		keys[i] = sc.key(it.u, it.v)
@@ -497,38 +467,19 @@ func (s *keyedItems) Swap(a, b int) {
 	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }
 
-// noteWave records one completed wave in the counters and the latency
-// EWMA. The EWMA update is a racy read-modify-write on purpose: lost
-// updates only slow adaptation, and the hot path stays lock-free.
+// noteWave records one completed wave in the counters.
 func (sc *scheduler) noteWave(k int, d time.Duration) {
 	sc.waves.Add(1)
 	sc.lanes.Add(uint64(k))
 	sc.noteLat(d)
 }
 
-// noteLat folds one observed per-wave latency into the controller's EWMA
-// and, on the sampling clock, the wave-latency histogram when one is bound.
+// noteLat feeds one observed per-wave latency to the wave-latency
+// histogram, on the sampling clock, when one is bound.
 func (sc *scheduler) noteLat(d time.Duration) {
 	if sc.waveHist != nil && sc.histTick.Add(1)%obsSampleWaves == 0 {
 		sc.waveHist.Observe(d)
 	}
-	old := sc.loadLat()
-	sc.ewmaLatNs.Store(math.Float64bits(old + schedLatGain*(float64(d.Nanoseconds())-old)))
-}
-
-func (sc *scheduler) loadLat() float64 { return math.Float64frombits(sc.ewmaLatNs.Load()) }
-
-// targetLocked is the controller's singles wave-width target. Caller
-// holds mu.
-func (sc *scheduler) targetLocked() int {
-	t := int(sc.ewmaDepth + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	if t > queries.MaxBatch {
-		t = queries.MaxBatch
-	}
-	return t
 }
 
 // setWorkers resizes the pool: the old generation exits at its next queue
@@ -573,7 +524,7 @@ func (sc *scheduler) close() {
 	for _, job := range jobs {
 		for {
 			sc.mu.Lock()
-			if job.next >= len(job.perm) {
+			if job.next >= job.n {
 				sc.mu.Unlock()
 				break
 			}
@@ -583,19 +534,7 @@ func (sc *scheduler) close() {
 		}
 	}
 	for off := 0; off < len(rest); off += queries.MaxBatch {
-		end := min(off+queries.MaxBatch, len(rest))
-		k := end - off
-		us := make([]graph.Node, k)
-		vs := make([]graph.Node, k)
-		out := make([]bool, k)
-		for i, it := range rest[off:end] {
-			us[i], vs[i] = it.u, it.v
-		}
-		sc.run(us, vs, out)
-		sc.noteWave(k, 0)
-		for i, it := range rest[off:end] {
-			it.res <- out[i]
-		}
+		sc.runSingles(rest[off:min(off+queries.MaxBatch, len(rest))])
 	}
 }
 
@@ -617,7 +556,6 @@ func (sc *scheduler) stats() SchedStats {
 	}
 	sc.mu.Lock()
 	st.Workers = sc.workers
-	st.TargetWave = sc.targetLocked()
 	sc.mu.Unlock()
 	return st
 }

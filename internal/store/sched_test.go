@@ -236,8 +236,7 @@ func TestHubCacheEpochInvariant(t *testing.T) {
 
 // TestSchedulerPool unit-tests the pool machinery against a stub runner:
 // pinned waves cluster by key and scatter through the permutation
-// correctly, the controller's target stays clamped, resizing takes, and
-// close drains queued work.
+// correctly, resizing takes, and close drains queued work.
 func TestSchedulerPool(t *testing.T) {
 	var mu sync.Mutex
 	var waves [][]graph.Node
@@ -288,18 +287,6 @@ func TestSchedulerPool(t *testing.T) {
 	if st := sc.stats(); st.ClusteredLanes == 0 || st.Waves == 0 {
 		t.Fatalf("clustering never counted: %+v", st)
 	}
-
-	// Controller: the target tracks the depth EWMA but stays in [1, 64].
-	sc.mu.Lock()
-	for _, d := range []float64{-3, 0, 0.4, 17.6, 1e9} {
-		sc.ewmaDepth = d
-		if got := sc.targetLocked(); got < 1 || got > queries.MaxBatch {
-			sc.mu.Unlock()
-			t.Fatalf("target %d out of [1,%d] at depth %v", got, queries.MaxBatch, d)
-		}
-	}
-	sc.ewmaDepth = 0
-	sc.mu.Unlock()
 
 	// Resize, then coalesce concurrent singles on the new generation.
 	sc.setWorkers(4)

@@ -869,9 +869,9 @@ func (s *Store) Close() error {
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
 // SchedReachable answers QR(u,v) through the multi-wave scheduler:
-// concurrent callers' queries coalesce into shared 64-lane waves sized by
-// the adaptive controller, so a loaded serving tier pays one lane sweep
-// per wave instead of one BFS per query. Answers are identical to
+// concurrent callers' queries coalesce into shared waves of up to 64
+// lanes, so a loaded serving tier pays one lane sweep per wave instead of
+// one BFS per query. Answers are identical to
 // Reachable; after Close it falls back to the scalar path on the final
 // snapshot.
 func (s *Store) SchedReachable(u, v graph.Node) bool {
