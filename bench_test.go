@@ -373,7 +373,7 @@ func BenchmarkShardedOpen(b *testing.B) {
 		b.StopTimer()
 		g := socialGraph(4000, 24000)
 		b.StartTimer()
-		s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
+		s, _ := store.OpenSharded(g, &store.ShardedOptions{Options: store.Options{Indexes: true}, Shards: 4}) // in-memory: cannot fail
 		b.StopTimer()
 		s.Close()
 		b.StartTimer()
@@ -385,7 +385,7 @@ func BenchmarkShardedOpen(b *testing.B) {
 func BenchmarkShardedReachableParallel(b *testing.B) {
 	g := socialGraph(4000, 24000)
 	pairs := storePairs(g)
-	s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
+	s, _ := store.OpenSharded(g, &store.ShardedOptions{Options: store.Options{Indexes: true}, Shards: 4}) // in-memory: cannot fail
 	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -405,7 +405,7 @@ func BenchmarkShardedReachableParallel(b *testing.B) {
 func BenchmarkShardedApplyBatch(b *testing.B) {
 	g := socialGraph(3000, 18000)
 	mirror := g.Clone()
-	s, _ := store.OpenSharded(g, &store.ShardedOptions{Shards: 4, Indexes: true}) // in-memory: cannot fail
+	s, _ := store.OpenSharded(g, &store.ShardedOptions{Options: store.Options{Indexes: true}, Shards: 4}) // in-memory: cannot fail
 	defer s.Close()
 	rng := rand.New(rand.NewSource(9))
 	b.ReportAllocs()

@@ -14,11 +14,16 @@ import (
 	"repro/internal/store"
 )
 
-// openRecovered opens the durable directory with the entry point matching
-// its manifest kind, returning either store flavor behind a uniform
-// querying face for the recover/checkpoint subcommands.
+// recoveredStore is a durable directory opened with the entry point
+// matching its manifest kind, for the recover/checkpoint/scrub
+// subcommands. Lifecycle calls go through the kinds' shared shell surface;
+// only stats and the verification reads need the concrete kind.
 type recoveredStore struct {
-	info  store.DirInfo
+	info store.DirInfo
+	s    interface {
+		Close() error
+		Checkpoint() error
+	}
 	mono  *store.Store
 	shard *store.ShardedStore
 }
@@ -41,31 +46,18 @@ func openRecovered(dir string) *recoveredStore {
 		fatal(err)
 	}
 	r := &recoveredStore{info: info}
+	o := store.Options{Dir: dir}
 	if info.Kind == "sharded" {
-		if r.shard, err = store.OpenSharded(nil, &store.ShardedOptions{Dir: dir}); err != nil {
-			fatal(err)
-		}
+		r.shard, err = store.OpenSharded(nil, &store.ShardedOptions{Options: o})
+		r.s = r.shard
 	} else {
-		if r.mono, err = store.Open(nil, &store.Options{Dir: dir}); err != nil {
-			fatal(err)
-		}
+		r.mono, err = store.Open(nil, &o)
+		r.s = r.mono
+	}
+	if err != nil {
+		fatal(err)
 	}
 	return r
-}
-
-func (r *recoveredStore) close() {
-	if r.shard != nil {
-		r.shard.Close()
-	} else {
-		r.mono.Close()
-	}
-}
-
-func (r *recoveredStore) checkpoint() error {
-	if r.shard != nil {
-		return r.shard.Checkpoint()
-	}
-	return r.mono.Checkpoint()
 }
 
 func (r *recoveredStore) epochNodes() (uint64, int) {
@@ -113,11 +105,11 @@ func cmdCheckpoint(args []string) {
 		fatal(fmt.Errorf("checkpoint: -data is required"))
 	}
 	r := openRecovered(*data)
-	defer r.close()
+	defer r.s.Close()
 	epoch, _ := r.epochNodes()
 	fmt.Printf("recovered %s store at epoch %d (checkpoint was epoch %d, WAL %d bytes)\n",
 		displayKind(r.info.Kind), epoch, r.info.Epoch, r.info.WALBytes)
-	if err := r.checkpoint(); err != nil {
+	if err := r.s.Checkpoint(); err != nil {
 		fatal(err)
 	}
 	after, err := store.Inspect(*data)
@@ -156,7 +148,7 @@ func cmdRecover(args []string) {
 	}
 	start := time.Now()
 	r := openRecovered(*data)
-	defer r.close()
+	defer r.s.Close()
 	loadTime := time.Since(start)
 	epoch, nodes := r.epochNodes()
 	fmt.Printf("recovered in %v: epoch %d (%d batches replayed from the WAL tail)\n",
@@ -226,9 +218,9 @@ func cmdScrub(args []string) {
 		quarantineCorrupt(*data, rep.Corrupt)
 	}
 	r := openRecovered(*data)
-	defer r.close()
+	defer r.s.Close()
 	epoch, _ := r.epochNodes()
-	if err := r.checkpoint(); err != nil {
+	if err := r.s.Checkpoint(); err != nil {
 		fatal(err)
 	}
 	if len(rep.Corrupt) == 0 {

@@ -221,13 +221,14 @@ func cmdServe(args []string) {
 	var backend serveBackend
 	var netBackend server.Backend
 	shardCount := 1
+	opts := store.Options{
+		Indexes: true,
+		Dir:     *data, Sync: syncMode,
+		FS: storeFS, ScrubInterval: *scrubIvl,
+		Obs: reg,
+	}
 	if sharded {
-		s, err := store.OpenSharded(g, &store.ShardedOptions{
-			Shards: *shards, Indexes: true,
-			Dir: *data, Sync: syncMode,
-			FS: storeFS, ScrubInterval: *scrubIvl,
-			Obs: reg,
-		})
+		s, err := store.OpenSharded(g, &store.ShardedOptions{Options: opts, Shards: *shards})
 		if err != nil {
 			fatal(err)
 		}
@@ -311,12 +312,7 @@ func cmdServe(args []string) {
 			},
 		}
 	} else {
-		s, err := store.Open(g, &store.Options{
-			Indexes: true,
-			Dir:     *data, Sync: syncMode,
-			FS: storeFS, ScrubInterval: *scrubIvl,
-			Obs: reg,
-		})
+		s, err := store.Open(g, &opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -120,7 +120,7 @@ func ExampleOpenSharded() {
 		g.AddEdge(nodes[i], nodes[i+1])
 	}
 
-	s, _ := qpgc.OpenSharded(g, &qpgc.ShardedOptions{Shards: 3, Indexes: true})
+	s, _ := qpgc.OpenSharded(g, &qpgc.ShardedOptions{Options: qpgc.StoreOptions{Indexes: true}, Shards: 3})
 	defer s.Close()
 
 	fmt.Println("0->5:", s.Reachable(nodes[0], nodes[5]))

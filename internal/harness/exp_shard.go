@@ -79,7 +79,7 @@ func ExpShard(cfg Config) *Table {
 			gs := d.Build(cfg.Seed)
 			var sh *store.ShardedStore
 			shardBuild := timeIt(func() {
-				sh, _ = store.OpenSharded(gs, &store.ShardedOptions{Shards: k, Indexes: true})
+				sh, _ = store.OpenSharded(gs, &store.ShardedOptions{Options: store.Options{Indexes: true}, Shards: k})
 			})
 			st := sh.Stats()
 			shardUps := shardWriteRate(cfg, d, writeBatches, func(b []graph.Update) error {

@@ -320,15 +320,16 @@ func openLocal(opts Options) (server.Backend, localStore, string, error) {
 	if opts.SyncAlways {
 		sync = store.SyncAlways
 	}
+	o := store.Options{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs}
 	switch info.Kind {
 	case "store":
-		s, err := store.Open(nil, &store.Options{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
+		s, err := store.Open(nil, &o)
 		if err != nil {
 			return nil, nil, "", err
 		}
 		return server.NewStoreBackend(s), s, "store", nil
 	case "sharded":
-		s, err := store.OpenSharded(nil, &store.ShardedOptions{Dir: opts.Dir, FS: opts.FS, Sync: sync, Obs: opts.Obs})
+		s, err := store.OpenSharded(nil, &store.ShardedOptions{Options: o})
 		if err != nil {
 			return nil, nil, "", err
 		}

@@ -61,114 +61,106 @@ type Promoter interface {
 	Promote(wait time.Duration) (epoch, term uint64, err error)
 }
 
-// storeBackend fronts a monolithic Store.
-type storeBackend struct{ s *store.Store }
+// localStore is the method set both store kinds share that the server
+// calls directly.
+type localStore interface {
+	Reachable(u, v graph.Node) bool
+	ReachableOnG(u, v graph.Node) bool
+	SchedReachable(u, v graph.Node) bool
+	BatchReachable(us, vs []graph.Node) []bool
+	Match(p *pattern.Pattern) *pattern.Result
+	Term() uint64
+	Fenced() bool
+	ObserveTerm(t uint64) error
+}
+
+// storeBackend fronts a local store of either kind. The two kinds differ
+// only in their snapshot, ApplyBatch result and Stats types, which epoch,
+// apply and info bridge. The node count is read once: it is fixed for a
+// store's life, and the server bounds every wire request by it.
+type storeBackend struct {
+	s     localStore
+	nodes int
+	epoch func() uint64
+	apply func(batch []graph.Update) (uint64, error)
+	info  func() Info
+}
 
 // NewStoreBackend adapts a Store to the serving interface.
-func NewStoreBackend(s *store.Store) Backend { return storeBackend{s} }
+func NewStoreBackend(s *store.Store) Backend {
+	return &storeBackend{
+		s:     s,
+		nodes: s.Snapshot().G.NumNodes(),
+		epoch: func() uint64 { return s.Snapshot().Epoch },
+		apply: func(batch []graph.Update) (uint64, error) {
+			res, err := s.ApplyBatch(batch)
+			return res.Epoch, err
+		},
+		info: func() Info {
+			st := s.Stats()
+			return Info{
+				Kind:  "store",
+				Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
+				Nodes: st.Nodes, Edges: st.Edges, Shards: 1,
+			}
+		},
+	}
+}
 
-func (b storeBackend) Epoch() uint64 { return b.s.Snapshot().Epoch }
+// NewShardedBackend adapts a ShardedStore to the serving interface.
+func NewShardedBackend(s *store.ShardedStore) Backend {
+	return &storeBackend{
+		s:     s,
+		nodes: s.Stats().Nodes,
+		epoch: func() uint64 { return s.Snapshot().Epoch },
+		apply: func(batch []graph.Update) (uint64, error) {
+			res, err := s.ApplyBatch(batch)
+			return res.Epoch, err
+		},
+		info: func() Info {
+			st := s.Stats()
+			return Info{
+				Kind:  "sharded",
+				Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
+				Nodes: st.Nodes, Edges: st.Edges, Shards: st.Shards,
+			}
+		},
+	}
+}
 
-func (b storeBackend) NumNodes() int { return b.s.Snapshot().G.NumNodes() }
+func (b *storeBackend) Epoch() uint64 { return b.epoch() }
 
-func (b storeBackend) Reachable(u, v graph.Node, onG bool) bool {
+func (b *storeBackend) NumNodes() int { return b.nodes }
+
+func (b *storeBackend) Reachable(u, v graph.Node, onG bool) bool {
 	if onG {
 		return b.s.ReachableOnG(u, v)
 	}
 	return b.s.Reachable(u, v)
 }
 
-func (b storeBackend) SchedReachable(u, v graph.Node) bool {
-	return b.s.SchedReachable(u, v)
-}
+func (b *storeBackend) SchedReachable(u, v graph.Node) bool { return b.s.SchedReachable(u, v) }
 
-func (b storeBackend) BatchReachable(us, vs []graph.Node) []bool {
+func (b *storeBackend) BatchReachable(us, vs []graph.Node) []bool {
 	return b.s.BatchReachable(us, vs)
 }
 
-func (b storeBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
+func (b *storeBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
 
-func (b storeBackend) Apply(batch []graph.Update) (uint64, error) {
-	res, err := b.s.ApplyBatch(batch)
-	if err != nil {
-		return 0, err
-	}
-	return res.Epoch, nil
-}
+func (b *storeBackend) Apply(batch []graph.Update) (uint64, error) { return b.apply(batch) }
 
-func (b storeBackend) Term() uint64 { return b.s.Term() }
+func (b *storeBackend) Term() uint64 { return b.s.Term() }
 
 // Fenced reports the store's fence state; the tail handler uses it to
 // mark shipped history as frozen.
-func (b storeBackend) Fenced() bool { return b.s.Fenced() }
+func (b *storeBackend) Fenced() bool { return b.s.Fenced() }
 
-func (b storeBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
+func (b *storeBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
 
-func (b storeBackend) Writable() bool { return !b.s.Fenced() }
+func (b *storeBackend) Writable() bool { return !b.s.Fenced() }
 
-func (b storeBackend) Info() Info {
-	st := b.s.Stats()
-	return Info{
-		Kind:  "store",
-		Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
-		Nodes: st.Nodes, Edges: st.Edges, Shards: 1,
-		Term: b.s.Term(), Writable: !b.s.Fenced(),
-	}
-}
-
-// shardedBackend fronts a ShardedStore.
-type shardedBackend struct{ s *store.ShardedStore }
-
-// NewShardedBackend adapts a ShardedStore to the serving interface.
-func NewShardedBackend(s *store.ShardedStore) Backend { return shardedBackend{s} }
-
-func (b shardedBackend) Epoch() uint64 { return b.s.Snapshot().Epoch }
-
-func (b shardedBackend) NumNodes() int {
-	st := b.s.Stats()
-	return st.Nodes
-}
-
-func (b shardedBackend) Reachable(u, v graph.Node, onG bool) bool {
-	if onG {
-		return b.s.ReachableOnG(u, v)
-	}
-	return b.s.Reachable(u, v)
-}
-
-func (b shardedBackend) SchedReachable(u, v graph.Node) bool {
-	return b.s.SchedReachable(u, v)
-}
-
-func (b shardedBackend) BatchReachable(us, vs []graph.Node) []bool {
-	return b.s.BatchReachable(us, vs)
-}
-
-func (b shardedBackend) Match(p *pattern.Pattern) *pattern.Result { return b.s.Match(p) }
-
-func (b shardedBackend) Apply(batch []graph.Update) (uint64, error) {
-	res, err := b.s.ApplyBatch(batch)
-	if err != nil {
-		return 0, err
-	}
-	return res.Epoch, nil
-}
-
-func (b shardedBackend) Term() uint64 { return b.s.Term() }
-
-// Fenced reports the store's fence state, as storeBackend.Fenced.
-func (b shardedBackend) Fenced() bool { return b.s.Fenced() }
-
-func (b shardedBackend) ObserveTerm(t uint64) error { return b.s.ObserveTerm(t) }
-
-func (b shardedBackend) Writable() bool { return !b.s.Fenced() }
-
-func (b shardedBackend) Info() Info {
-	st := b.s.Stats()
-	return Info{
-		Kind:  "sharded",
-		Epoch: st.Epoch, Batches: st.Batches, Updates: st.Updates, Reads: st.Reads,
-		Nodes: st.Nodes, Edges: st.Edges, Shards: st.Shards,
-		Term: b.s.Term(), Writable: !b.s.Fenced(),
-	}
+func (b *storeBackend) Info() Info {
+	in := b.info()
+	in.Term, in.Writable = b.s.Term(), !b.s.Fenced()
+	return in
 }

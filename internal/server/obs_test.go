@@ -88,7 +88,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 // error, so scrapers can tell "not instrumented" from "unreachable".
 func TestMetricsWithoutRegistry(t *testing.T) {
 	g := testGraph(9)
-	_, srv := startStoreServer(t, g, Options{})
+	_, _, srv := startServer(t, "store", g, Options{})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

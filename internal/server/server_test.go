@@ -32,154 +32,187 @@ func testPattern() *pattern.Pattern {
 	return pt
 }
 
-// startStoreServer opens an in-memory store on g and serves it on a free
-// port, tearing both down with the test.
-func startStoreServer(t *testing.T, g *graph.Graph, opts Options) (*store.Store, *Server) {
+// storeKinds are the store kinds the wire round-trip tests run over.
+var storeKinds = []string{"store", "sharded"}
+
+// startServer opens an in-memory store of the given kind on g and serves
+// it on a free port, tearing both down with the test. It returns the store
+// itself and its snapshot epoch, whose answers the wire must reproduce.
+func startServer(t *testing.T, kind string, g *graph.Graph, opts Options) (localStore, func() uint64, *Server) {
 	t.Helper()
-	s, err := store.Open(g, &store.Options{Indexes: true})
-	if err != nil {
-		t.Fatal(err)
+	var (
+		local localStore
+		epoch func() uint64
+	)
+	switch kind {
+	case "store":
+		s, err := store.Open(g, &store.Options{Indexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		local, epoch = s, func() uint64 { return s.Snapshot().Epoch }
+		opts.Backend = NewStoreBackend(s)
+	case "sharded":
+		s, err := store.OpenSharded(g, &store.ShardedOptions{Options: store.Options{Indexes: true}, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		local, epoch = s, func() uint64 { return s.Snapshot().Epoch }
+		opts.Backend = NewShardedBackend(s)
+	default:
+		t.Fatalf("unknown store kind %q", kind)
 	}
-	t.Cleanup(func() { s.Close() })
-	opts.Backend = NewStoreBackend(s)
 	srv, err := Start("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return s, srv
+	return local, epoch, srv
 }
 
 // TestQueryRoundTrips drives every query type through the wire and pins
 // the answers to the store's own.
 func TestQueryRoundTrips(t *testing.T) {
-	g := testGraph(1)
-	s, srv := startStoreServer(t, g, Options{})
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	if _, err := cli.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	n := g.NumNodes()
-	for i := 0; i < 200; i++ {
-		u := graph.Node(rng.Intn(n))
-		v := graph.Node(rng.Intn(n))
-		got, _, err := cli.Reachable(u, v, 0, false)
-		if err != nil {
-			t.Fatalf("reach(%d,%d): %v", u, v, err)
-		}
-		if want := s.Reachable(u, v); got != want {
-			t.Fatalf("reach(%d,%d) = %v over the wire, %v locally", u, v, got, want)
-		}
-		gotG, _, err := cli.Reachable(u, v, 0, true)
-		if err != nil {
-			t.Fatalf("reachOnG(%d,%d): %v", u, v, err)
-		}
-		if want := s.ReachableOnG(u, v); gotG != want {
-			t.Fatalf("reachOnG(%d,%d) = %v over the wire, %v locally", u, v, gotG, want)
-		}
-	}
-
-	us := make([]graph.Node, 64)
-	vs := make([]graph.Node, 64)
-	for i := range us {
-		us[i] = graph.Node(rng.Intn(n))
-		vs[i] = graph.Node(rng.Intn(n))
-	}
-	got, _, err := cli.BatchReachable(us, vs, 0)
-	if err != nil {
-		t.Fatalf("batch reach: %v", err)
-	}
-	want := s.BatchReachable(us, vs)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("batch lane %d = %v over the wire, %v locally", i, got[i], want[i])
-		}
-	}
-
-	res, _, err := cli.Match(testPattern(), 0)
-	if err != nil {
-		t.Fatalf("match: %v", err)
-	}
-	wantRes := s.Match(testPattern())
-	if res.OK != wantRes.OK || len(res.Sets) != len(wantRes.Sets) {
-		t.Fatalf("match shape diverged: ok %v/%v, %d/%d sets", res.OK, wantRes.OK, len(res.Sets), len(wantRes.Sets))
-	}
-	for i := range res.Sets {
-		if len(res.Sets[i]) != len(wantRes.Sets[i]) {
-			t.Fatalf("match set %d: %d vs %d nodes", i, len(res.Sets[i]), len(wantRes.Sets[i]))
-		}
-		for j := range res.Sets[i] {
-			if res.Sets[i][j] != wantRes.Sets[i][j] {
-				t.Fatalf("match set %d diverges at %d", i, j)
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			g := testGraph(1)
+			s, _, srv := startServer(t, kind, g, Options{})
+			cli, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			defer cli.Close()
 
-	in, err := cli.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if in.Kind != "store" || in.Nodes != n {
-		t.Fatalf("stats = %+v, want kind store with %d nodes", in, n)
+			if _, err := cli.Ping(); err != nil {
+				t.Fatalf("ping: %v", err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			n := g.NumNodes()
+			for i := 0; i < 200; i++ {
+				u := graph.Node(rng.Intn(n))
+				v := graph.Node(rng.Intn(n))
+				got, _, err := cli.Reachable(u, v, 0, false)
+				if err != nil {
+					t.Fatalf("reach(%d,%d): %v", u, v, err)
+				}
+				if want := s.Reachable(u, v); got != want {
+					t.Fatalf("reach(%d,%d) = %v over the wire, %v locally", u, v, got, want)
+				}
+				gotG, _, err := cli.Reachable(u, v, 0, true)
+				if err != nil {
+					t.Fatalf("reachOnG(%d,%d): %v", u, v, err)
+				}
+				if want := s.ReachableOnG(u, v); gotG != want {
+					t.Fatalf("reachOnG(%d,%d) = %v over the wire, %v locally", u, v, gotG, want)
+				}
+			}
+
+			us := make([]graph.Node, 64)
+			vs := make([]graph.Node, 64)
+			for i := range us {
+				us[i] = graph.Node(rng.Intn(n))
+				vs[i] = graph.Node(rng.Intn(n))
+			}
+			got, _, err := cli.BatchReachable(us, vs, 0)
+			if err != nil {
+				t.Fatalf("batch reach: %v", err)
+			}
+			want := s.BatchReachable(us, vs)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("batch lane %d = %v over the wire, %v locally", i, got[i], want[i])
+				}
+			}
+
+			res, _, err := cli.Match(testPattern(), 0)
+			if err != nil {
+				t.Fatalf("match: %v", err)
+			}
+			wantRes := s.Match(testPattern())
+			if res.OK != wantRes.OK || len(res.Sets) != len(wantRes.Sets) {
+				t.Fatalf("match shape diverged: ok %v/%v, %d/%d sets", res.OK, wantRes.OK, len(res.Sets), len(wantRes.Sets))
+			}
+			for i := range res.Sets {
+				if len(res.Sets[i]) != len(wantRes.Sets[i]) {
+					t.Fatalf("match set %d: %d vs %d nodes", i, len(res.Sets[i]), len(wantRes.Sets[i]))
+				}
+				for j := range res.Sets[i] {
+					if res.Sets[i][j] != wantRes.Sets[i][j] {
+						t.Fatalf("match set %d diverges at %d", i, j)
+					}
+				}
+			}
+
+			in, err := cli.Stats()
+			if err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			if in.Kind != kind || in.Nodes != n {
+				t.Fatalf("stats = %+v, want kind %s with %d nodes", in, kind, n)
+			}
+			if got := srv.backend.NumNodes(); got != n {
+				t.Fatalf("backend bounds wire node ids by %d, graph has %d nodes", got, n)
+			}
+		})
 	}
 }
 
 // TestApplyAndRYW applies batches over the wire and verifies the returned
 // epoch is a working read-your-writes token.
 func TestApplyAndRYW(t *testing.T) {
-	g := testGraph(3)
-	s, srv := startStoreServer(t, g, Options{})
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			g := testGraph(3)
+			_, epochOf, srv := startServer(t, kind, g, Options{})
+			cli, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	mirror := g.Clone()
-	rng := rand.New(rand.NewSource(4))
-	var token uint64
-	for i := 0; i < 10; i++ {
-		batch := gen.RandomBatch(rng, mirror, 16, 0.6)
-		mirror.Apply(batch)
-		epoch, err := cli.Apply(batch)
-		if err != nil {
-			t.Fatalf("apply %d: %v", i, err)
-		}
-		if epoch != uint64(i+1) {
-			t.Fatalf("apply %d returned epoch %d", i, epoch)
-		}
-		token = epoch
-	}
-	if cli.LastEpoch() != token {
-		t.Fatalf("session token %d, want %d", cli.LastEpoch(), token)
-	}
-	// A read pinned at the token must see all ten batches.
-	_, epoch, err := cli.Reachable(0, 1, token, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch < token {
-		t.Fatalf("read served at epoch %d, below RYW token %d", epoch, token)
-	}
-	if got := s.Snapshot().Epoch; got != token {
-		t.Fatalf("store at epoch %d after %d applies", got, token)
-	}
-	// An unreachable epoch times out with an error rather than serving a
-	// stale answer.
-	fast := New(Options{Backend: NewStoreBackend(s), EpochWaitTimeout: 20 * time.Millisecond})
-	gotErr := false
-	fast.handleRequest(MsgReach, reachBody(999999, 0, 1), func(mt MsgType, body []byte) error {
-		gotErr = mt == MsgErr
-		return nil
-	})
-	if !gotErr {
-		t.Fatal("read far beyond the write frontier did not error")
+			mirror := g.Clone()
+			rng := rand.New(rand.NewSource(4))
+			var token uint64
+			for i := 0; i < 10; i++ {
+				batch := gen.RandomBatch(rng, mirror, 16, 0.6)
+				mirror.Apply(batch)
+				epoch, err := cli.Apply(batch)
+				if err != nil {
+					t.Fatalf("apply %d: %v", i, err)
+				}
+				if epoch != uint64(i+1) {
+					t.Fatalf("apply %d returned epoch %d", i, epoch)
+				}
+				token = epoch
+			}
+			if cli.LastEpoch() != token {
+				t.Fatalf("session token %d, want %d", cli.LastEpoch(), token)
+			}
+			// A read pinned at the token must see all ten batches.
+			_, epoch, err := cli.Reachable(0, 1, token, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if epoch < token {
+				t.Fatalf("read served at epoch %d, below RYW token %d", epoch, token)
+			}
+			if got := epochOf(); got != token {
+				t.Fatalf("store at epoch %d after %d applies", got, token)
+			}
+			// An unreachable epoch times out with an error rather than serving a
+			// stale answer.
+			fast := New(Options{Backend: srv.backend, EpochWaitTimeout: 20 * time.Millisecond})
+			gotErr := false
+			fast.handleRequest(MsgReach, reachBody(999999, 0, 1), func(mt MsgType, body []byte) error {
+				gotErr = mt == MsgErr
+				return nil
+			})
+			if !gotErr {
+				t.Fatal("read far beyond the write frontier did not error")
+			}
+		})
 	}
 }
 
@@ -194,7 +227,7 @@ func reachBody(minEpoch uint64, u, v graph.Node) []byte {
 // TestWireRejectsGarbage sends malformed frames and checks the server
 // answers MsgErr and keeps the connection serviceable.
 func TestWireRejectsGarbage(t *testing.T) {
-	_, srv := startStoreServer(t, testGraph(5), Options{})
+	_, _, srv := startServer(t, "store", testGraph(5), Options{})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

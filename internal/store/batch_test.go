@@ -108,7 +108,7 @@ func TestBatchMatchesScalarSharded(t *testing.T) {
 	for name, g := range shardedTopologies(29) {
 		for _, k := range []int{1, 4} {
 			indexes := k == 4 // cover both router fast paths
-			s := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: k, Indexes: indexes})
+			s := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: indexes}, Shards: k})
 			mirror := g.Clone()
 			rng := rand.New(rand.NewSource(int64(k) * 7))
 			for round := 0; round < 4; round++ {
@@ -164,7 +164,7 @@ func TestBatchStressReadersVsWriter(t *testing.T) {
 
 	mono := mustOpen(t, g.Clone(), nil)
 	defer mono.Close()
-	sh := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 3, Indexes: true})
+	sh := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: true}, Shards: 3})
 	defer sh.Close()
 
 	var done atomic.Bool

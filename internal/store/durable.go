@@ -99,77 +99,63 @@ type durable struct {
 // inconsistent concrete types.
 type errBox struct{ err error }
 
-// durableConfig is the durable layer's cut of a store's options, shared by
-// both option types.
-type durableConfig struct {
-	dir              string
-	sync             SyncMode
-	ckptBatches      int
-	ckptBytes        int64
-	fs               faultfs.FS
-	writeRetries     int
-	retryBackoff     time.Duration
-	recoveryInterval time.Duration
-	scrubInterval    time.Duration
-	scrubRate        int64
-	segBytes         int64
-	obsReg           *obs.Registry // nil disables durable-layer metrics
-}
-
-func newDurable(cfg durableConfig, kind snapfile.Kind) (*durable, error) {
-	fsys := faultfs.Or(cfg.fs)
-	if err := fsys.MkdirAll(cfg.dir, 0o777); err != nil {
+// newDurable opens the durable layer over o.Dir for a store of the given
+// kind, applying o's defaults and reading the manifest and term state a
+// previous run left.
+func newDurable(o Options, kind snapfile.Kind) (*durable, error) {
+	fsys := faultfs.Or(o.FS)
+	if err := fsys.MkdirAll(o.Dir, 0o777); err != nil {
 		return nil, err
 	}
 	d := &durable{
-		dir:       cfg.dir,
+		dir:       o.Dir,
 		kind:      kind,
 		fs:        fsys,
-		syncMode:  cfg.sync,
+		syncMode:  o.Sync,
 		stop:      make(chan struct{}),
-		scrubRate: cfg.scrubRate,
-		segBytes:  cfg.segBytes,
+		scrubRate: o.ScrubRate,
+		segBytes:  o.WALSegmentBytes,
 	}
 	switch {
-	case cfg.ckptBatches == 0:
+	case o.CheckpointBatches == 0:
 		d.ckptBatches = 256
-	case cfg.ckptBatches > 0:
-		d.ckptBatches = uint64(cfg.ckptBatches)
+	case o.CheckpointBatches > 0:
+		d.ckptBatches = uint64(o.CheckpointBatches)
 	}
 	switch {
-	case cfg.ckptBytes == 0:
+	case o.CheckpointBytes == 0:
 		d.ckptBytes = 8 << 20
-	case cfg.ckptBytes > 0:
-		d.ckptBytes = cfg.ckptBytes
+	case o.CheckpointBytes > 0:
+		d.ckptBytes = o.CheckpointBytes
 	}
 	switch {
-	case cfg.writeRetries == 0:
+	case o.WriteRetries == 0:
 		d.retries = defaultWriteRetries
-	case cfg.writeRetries > 0:
-		d.retries = cfg.writeRetries
+	case o.WriteRetries > 0:
+		d.retries = o.WriteRetries
 	}
 	switch {
-	case cfg.retryBackoff == 0:
+	case o.RetryBackoff == 0:
 		d.backoff = defaultRetryBackoff
-	case cfg.retryBackoff > 0:
-		d.backoff = cfg.retryBackoff
+	case o.RetryBackoff > 0:
+		d.backoff = o.RetryBackoff
 	}
 	switch {
-	case cfg.recoveryInterval == 0:
+	case o.RecoveryInterval == 0:
 		d.recoveryInterval = defaultRecoveryInterval
-	case cfg.recoveryInterval > 0:
-		d.recoveryInterval = cfg.recoveryInterval
+	case o.RecoveryInterval > 0:
+		d.recoveryInterval = o.RecoveryInterval
 	}
-	if cfg.scrubInterval > 0 {
-		d.scrubInterval = cfg.scrubInterval
+	if o.ScrubInterval > 0 {
+		d.scrubInterval = o.ScrubInterval
 	}
-	if HasState(cfg.dir) {
-		m, err := readManifest(cfg.dir)
+	if HasState(o.Dir) {
+		m, err := readManifest(o.Dir)
 		if err != nil {
 			return nil, err
 		}
 		if m.kind != kind {
-			return nil, fmt.Errorf("store: %s holds a %v store; open it with the matching entry point", cfg.dir, m.kind)
+			return nil, fmt.Errorf("store: %s holds a %v store; open it with the matching entry point", o.Dir, m.kind)
 		}
 		d.manifestEpoch = m.epoch
 		d.manifestSnapshot = m.snapshot
@@ -179,7 +165,7 @@ func newDurable(cfg durableConfig, kind snapfile.Kind) (*durable, error) {
 	if err := d.loadTerm(); err != nil {
 		return nil, err
 	}
-	d.bindObs(cfg.obsReg)
+	d.bindObs(o.Obs)
 	return d, nil
 }
 
@@ -280,7 +266,7 @@ func (d *durable) backoffFor(attempt int) time.Duration {
 // degrades the write path; so does a failed rollback, immediately, because
 // the log's tail invariant cannot be restored in place. Writer goroutine
 // only.
-func (d *durable) appendGroup(epochs []uint64, batch func(i int) []graph.Update) error {
+func (d *durable) appendGroup(epochs []uint64, batches [][]graph.Update) error {
 	if err := d.degradedErr(); err != nil {
 		return err
 	}
@@ -293,7 +279,7 @@ func (d *durable) appendGroup(epochs []uint64, batch func(i int) []graph.Update)
 		mark := d.log.TailMark()
 		lastErr = func() error {
 			for i, e := range epochs {
-				d.encBuf = EncodeBatch(d.encBuf[:0], batch(i))
+				d.encBuf = EncodeBatch(d.encBuf[:0], batches[i])
 				if err := d.log.Append(e, d.encBuf); err != nil {
 					return err
 				}
@@ -373,17 +359,12 @@ func (d *durable) shouldCheckpoint(epoch uint64) bool {
 // checkpoint makes epoch the directory's newest checkpoint: write writes
 // the snapshot image to the path it is given, then the manifest is swapped
 // and the WAL prefix the checkpoint covers is truncated, along with older
-// snapshot files. Concurrent and repeated calls are safe; a checkpoint at
-// or below the newest one is a no-op.
-func (d *durable) checkpoint(epoch uint64, write func(path string) error) error {
-	return d.checkpointAt(epoch, write, false)
-}
-
-// checkpointAt is checkpoint with an explicit force flag: a forced call
-// rewrites the checkpoint even at or below the newest epoch. The scrubber
-// needs it after quarantining the manifest's own snapshot — the epoch did
-// not advance, only the file is gone.
-func (d *durable) checkpointAt(epoch uint64, write func(path string) error, force bool) error {
+// snapshot files. Concurrent and repeated calls are safe; unless force is
+// set, a checkpoint at or below the newest one is a no-op. A forced call
+// rewrites the newest checkpoint: the scrubber needs it after quarantining
+// the manifest's own snapshot — the epoch did not advance, only the file
+// is gone.
+func (d *durable) checkpoint(epoch uint64, write func(path string) error, force bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	last := d.lastCkpt.Load()

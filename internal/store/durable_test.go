@@ -159,7 +159,7 @@ func TestCrashRecoverySharded(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			mirror := g.Clone()
-			s, err := OpenSharded(g.Clone(), &ShardedOptions{Shards: 3, Indexes: true, Dir: dir})
+			s, err := OpenSharded(g.Clone(), &ShardedOptions{Options: Options{Indexes: true, Dir: dir}, Shards: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestCrashRecoverySharded(t *testing.T) {
 			s.Close()
 			tearWAL(t, dir)
 
-			r, err := OpenSharded(nil, &ShardedOptions{Dir: dir})
+			r, err := OpenSharded(nil, &ShardedOptions{Options: Options{Dir: dir}})
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -266,7 +266,7 @@ func TestShardedSnapshotLoadIsLazy(t *testing.T) {
 	g := gen.Web(rand.New(rand.NewSource(8)), 220, 800, 4)
 	mirror := g.Clone()
 	dir := t.TempDir()
-	s, err := OpenSharded(g, &ShardedOptions{Shards: 3, Indexes: true, Dir: dir})
+	s, err := OpenSharded(g, &ShardedOptions{Options: Options{Indexes: true, Dir: dir}, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestShardedSnapshotLoadIsLazy(t *testing.T) {
 	}
 	s.Close()
 
-	r, err := OpenSharded(nil, &ShardedOptions{Dir: dir})
+	r, err := OpenSharded(nil, &ShardedOptions{Options: Options{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestDurableOpenErrors(t *testing.T) {
 	if _, err := Open(g.Clone(), &Options{Dir: dir}); !errors.Is(err, ErrStateExists) {
 		t.Fatalf("Open with graph over existing state: %v, want ErrStateExists", err)
 	}
-	if _, err := OpenSharded(nil, &ShardedOptions{Dir: dir}); err == nil {
+	if _, err := OpenSharded(nil, &ShardedOptions{Options: Options{Dir: dir}}); err == nil {
 		t.Fatal("OpenSharded recovered a monolithic directory")
 	}
 	if _, err := Open(nil, &Options{Dir: t.TempDir()}); err == nil {

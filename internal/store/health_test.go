@@ -57,14 +57,7 @@ func openFaulty(t *testing.T, kind string, g *graph.Graph, o Options) *faultySto
 			},
 		}
 	case "sharded":
-		so := &ShardedOptions{
-			Shards: 3, Indexes: o.Indexes, Dir: o.Dir, Sync: o.Sync,
-			CheckpointBatches: o.CheckpointBatches, CheckpointBytes: o.CheckpointBytes,
-			FS: o.FS, WriteRetries: o.WriteRetries, RetryBackoff: o.RetryBackoff,
-			RecoveryInterval: o.RecoveryInterval, ScrubInterval: o.ScrubInterval,
-			ScrubRate: o.ScrubRate, WALSegmentBytes: o.WALSegmentBytes,
-		}
-		s, err := OpenSharded(g, so)
+		s, err := OpenSharded(g, &ShardedOptions{Options: o, Shards: 3})
 		if err != nil {
 			t.Fatalf("OpenSharded: %v", err)
 		}

@@ -15,7 +15,7 @@ import (
 
 // storeObs holds the instruments the write and batch read paths feed
 // directly; everything else (counters the store already maintains) is
-// registered as scrape-time callbacks by bindStoreObs/bindShardedObs.
+// registered as scrape-time callbacks by bindObs.
 type storeObs struct {
 	apply   *obs.Histogram // writer latency per coalesced group (WAL + maintain + publish)
 	publish *obs.Histogram // snapshot assembly + swap latency
@@ -97,65 +97,44 @@ func bindSchedObs(r *obs.Registry, sc *scheduler) {
 	})
 }
 
-// bindStoreObs registers the monolithic store's scrape-time callbacks.
-// Called once from openMem/recoverStore after the scheduler exists (s.ob
+// bindObs registers the store's scrape-time callbacks, shared by both
+// kinds. Called once while opening, after the scheduler exists (sh.ob
 // itself is created before the first publish so every snapshot carries the
 // stage histograms).
-func (s *Store) bindStoreObs() {
-	r := s.opts.Obs
+func (sh *shell[S, R]) bindObs() {
+	r := sh.opts.Obs
 	if r == nil {
 		return
 	}
-	bindSchedObs(r, s.sched)
-	r.CounterFunc("qpgc_store_batches_total", s.batches.Load)
-	r.CounterFunc("qpgc_store_updates_total", s.updates.Load)
-	r.CounterFunc("qpgc_store_reads_total", s.reads.Load)
-	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(s.Snapshot().Epoch) })
-	r.GaugeFunc("qpgc_store_epoch_age_seconds", s.ob.ageSeconds)
-	r.GaugeFunc("qpgc_store_shards", func() float64 { return 1 })
+	bindSchedObs(r, sh.sched)
+	r.CounterFunc("qpgc_store_batches_total", sh.batches.Load)
+	r.CounterFunc("qpgc_store_updates_total", sh.updates.Load)
+	r.CounterFunc("qpgc_store_reads_total", sh.reads.Load)
+	r.GaugeFunc("qpgc_store_epoch", func() float64 {
+		epoch, _ := sh.eng.head(sh.snap.Load())
+		return float64(epoch)
+	})
+	r.GaugeFunc("qpgc_store_epoch_age_seconds", sh.ob.ageSeconds)
+	shards := float64(sh.eng.numShards())
+	r.GaugeFunc("qpgc_store_shards", func() float64 { return shards })
 	// Batch read-path counters: accumulator plus the live snapshot's share,
 	// exactly the SchedStats sums — Prometheus rate() (or qpgc top's poll
 	// deltas) turns these lifetime totals into the interval rates.
 	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 {
-		return s.batchLanes.Load() + s.Snapshot().bstats.lanes.Load()
+		n, _, _, _ := sh.batchTotals()
+		return n
 	})
 	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 {
-		return s.hop2Peeled.Load() + s.Snapshot().bstats.hop2Peeled.Load()
+		_, n, _, _ := sh.batchTotals()
+		return n
 	})
 	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 {
-		return s.hubLanes.Load() + s.Snapshot().bstats.hubLanes.Load()
+		_, _, n, _ := sh.batchTotals()
+		return n
 	})
 	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 {
-		return s.hubPrunes.Load() + s.Snapshot().bstats.hubPrunes.Load()
-	})
-}
-
-// bindShardedObs registers the sharded store's scrape-time callbacks.
-// Called once from openShardedMem/recoverSharded after the scheduler
-// exists (s.ob itself is created before the first publish).
-func (s *ShardedStore) bindShardedObs() {
-	r := s.opts.Obs
-	if r == nil {
-		return
-	}
-	bindSchedObs(r, s.sched)
-	r.CounterFunc("qpgc_store_batches_total", s.batches.Load)
-	r.CounterFunc("qpgc_store_updates_total", s.updates.Load)
-	r.CounterFunc("qpgc_store_reads_total", s.reads.Load)
-	r.GaugeFunc("qpgc_store_epoch", func() float64 { return float64(s.Snapshot().Epoch) })
-	r.GaugeFunc("qpgc_store_epoch_age_seconds", s.ob.ageSeconds)
-	r.GaugeFunc("qpgc_store_shards", func() float64 { return float64(s.opts.Shards) })
-	r.CounterFunc("qpgc_sched_batch_lanes_total", func() uint64 {
-		return s.batchLanes.Load() + s.Snapshot().bstats.lanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hop2_peeled_total", func() uint64 {
-		return s.hop2Peeled.Load() + s.Snapshot().bstats.hop2Peeled.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_lanes_total", func() uint64 {
-		return s.hubLanes.Load() + s.Snapshot().bstats.hubLanes.Load()
-	})
-	r.CounterFunc("qpgc_sched_hub_prunes_total", func() uint64 {
-		return s.hubPrunes.Load() + s.Snapshot().bstats.hubPrunes.Load()
+		_, _, _, n := sh.batchTotals()
+		return n
 	})
 }
 

@@ -62,7 +62,7 @@ func TestSchedDifferential(t *testing.T) {
 			}
 			s.Close()
 
-			ss := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 3, Indexes: true, SchedWorkers: workers})
+			ss := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: true, SchedWorkers: workers}, Shards: 3})
 			ssn := ss.Snapshot()
 			ssingle := make([]bool, len(us))
 			ssn.BatchReachable(NewBatchRouteScratch(), us, vs, ssingle)
@@ -104,7 +104,7 @@ func TestSchedRaceStress(t *testing.T) {
 		close func() error
 	}
 	mono := mustOpen(t, base.Clone(), &Options{Indexes: true, SchedWorkers: 4})
-	shrd := mustOpenSharded(t, base.Clone(), &ShardedOptions{Shards: 3, Indexes: true, SchedWorkers: 4})
+	shrd := mustOpenSharded(t, base.Clone(), &ShardedOptions{Options: Options{Indexes: true, SchedWorkers: 4}, Shards: 3})
 	kinds := []kind{
 		{"mono", mono.BatchReachable, mono.SchedReachable, mono.Reachable,
 			func(b []graph.Update) error { _, err := mono.ApplyBatch(b); return err }, mono.Close},

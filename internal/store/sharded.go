@@ -8,8 +8,10 @@
 // OpenSharded splits G into k shards with part.Split (SCC-aware, so local
 // reachability structure never straddles shards) and starts one writer
 // goroutine per shard, each owning that shard's incremental maintainers
-// (increach + incbisim over the shard's local subgraph). A coordinator
-// goroutine serializes ApplyBatch calls, routes each update to the shard
+// (increach + incbisim over the shard's local subgraph). The coordinator —
+// the store shell's writer goroutine, shared with Store — serializes
+// ApplyBatch calls and logs them to the WAL; the sharded engine routes
+// each update to the shard
 // owning both endpoints — or, for cross-shard edges, applies it to the
 // coordinator-owned cross adjacency — fans the per-shard sub-batches out
 // to the shard writers, and, once all writers acknowledge, assembles and
@@ -32,8 +34,6 @@
 package store
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,83 +53,23 @@ import (
 	"repro/internal/snapfile"
 )
 
-// ShardedOptions configures a ShardedStore.
+// ShardedOptions configures a ShardedStore: the shared store Options plus
+// the partition count. Indexes builds per-shard 2-hop indexes over the
+// local reachability quotients (the same-shard fast path).
 type ShardedOptions struct {
+	Options
 	// Shards is the partition count k (clamped to >= 1; 1 degenerates to a
 	// single local pipeline with an empty summary). When recovering from a
 	// durable directory the snapshot's own shard count wins — the
 	// partition is static for the life of the store.
 	Shards int
-	// Indexes controls per-shard 2-hop indexes over the local reachability
-	// quotients, used as the same-shard fast path. On recovery the loaded
-	// snapshot's index presence wins.
-	Indexes bool
-	// Dir enables durability, as in Options.Dir: checkpoints of the full
-	// epoch vector (per-shard views, boundary summary, stitched quotient)
-	// plus a write-ahead log of the global update stream.
-	Dir string
-	// Sync is the WAL fsync policy (durable stores only).
-	Sync SyncMode
-	// CheckpointBatches and CheckpointBytes are the background checkpoint
-	// thresholds, as in Options.
-	CheckpointBatches int
-	// CheckpointBytes is the WAL size trigger, as in Options.
-	CheckpointBytes int64
-	// FS is the filesystem the durable layer runs on, as in Options.FS.
-	FS faultfs.FS
-	// The self-healing fields apply to the coordinator's write path: the
-	// sharded store logs the global update stream through one WAL, so
-	// health is a whole-store property, not per shard.
-
-	// WriteRetries is how many times a failed WAL append group is retried
-	// in place (with capped exponential backoff) before the write path
-	// degrades. 0 means the default (4); negative disables retries.
-	WriteRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt up to a cap. 0 means the default (5ms).
-	RetryBackoff time.Duration
-	// RecoveryInterval is how often a degraded store re-probes its
-	// directory to re-arm the write path. 0 means the default (250ms);
-	// negative disables background recovery.
-	RecoveryInterval time.Duration
-	// ScrubInterval enables the background integrity scrubber at this
-	// cadence; 0 (the default) disables it. ScrubNow works either way.
-	ScrubInterval time.Duration
-	// ScrubRate bounds scrub IO in bytes/sec. 0 means the default (8 MiB/s).
-	ScrubRate int64
-	// WALSegmentBytes is the WAL segment rotation threshold, as in Options.
-	WALSegmentBytes int64
-	// SchedWorkers sizes the multi-wave batch scheduler's worker pool, as
-	// in Options.SchedWorkers. 0 means GOMAXPROCS at Open time.
-	SchedWorkers int
-	// Obs, when non-nil, receives the store's metrics, as in Options.Obs;
-	// the sharded store additionally exposes per-shard batch latency
-	// (qpgc_shard_batch_seconds{shard="k"}), the input a self-tuning
-	// rebalancer needs.
-	Obs *obs.Registry
-}
-
-// durableCfg projects the durable layer's cut of the options.
-func (o ShardedOptions) durableCfg() durableConfig {
-	return durableConfig{
-		dir:              o.Dir,
-		sync:             o.Sync,
-		ckptBatches:      o.CheckpointBatches,
-		ckptBytes:        o.CheckpointBytes,
-		fs:               o.FS,
-		writeRetries:     o.WriteRetries,
-		retryBackoff:     o.RetryBackoff,
-		recoveryInterval: o.RecoveryInterval,
-		scrubInterval:    o.ScrubInterval,
-		scrubRate:        o.ScrubRate,
-		segBytes:         o.WALSegmentBytes,
-		obsReg:           o.Obs,
-	}
 }
 
 // DefaultShardedOptions returns the standard configuration: 4 shards,
 // per-shard 2-hop indexes on, in-memory.
-func DefaultShardedOptions() ShardedOptions { return ShardedOptions{Shards: 4, Indexes: true} }
+func DefaultShardedOptions() ShardedOptions {
+	return ShardedOptions{Options: DefaultOptions(), Shards: 4}
+}
 
 // ShardView is one shard's slice of a ShardedSnapshot: the frozen local
 // subgraph and its reachability-compressed read path.
@@ -160,20 +100,12 @@ type ShardedSnapshot struct {
 	p        *part.Partition
 	crossOut [][]graph.Node // per-epoch immutable cross-shard successors
 
-	// Batch read-path counters, epoch-local like Snapshot.bstats; pure
-	// metadata, folded into the store accumulators at the next publish.
-	bstats batchCounters
-	// hubs holds one lazy hub reach-set cache per shard quotient, gated and
-	// invalidated exactly like Snapshot.hub (hubcache.go): a write publishes
-	// a new snapshot with empty slots.
+	// Batch read-path state, as on Snapshot: the epoch-local counters and
+	// instruments, and one lazy hub reach-set cache per shard quotient,
+	// gated and invalidated exactly like Snapshot.hub (hubcache.go): a
+	// write publishes a new snapshot with empty slots.
+	snapMeta
 	hubs []shardHubSlot
-	// leafHist/sumHist, when non-nil, time each wave's local leaf phase and
-	// cross-shard summary hop (qpgc_query_stage_seconds); copied from the
-	// store's instruments at publish. so shares the sampling clock: only 1
-	// in obsSampleWaves waves pays the clock reads.
-	leafHist *obs.Histogram
-	sumHist  *obs.Histogram
-	so       *storeObs
 }
 
 // shardHubSlot is one shard's lazy hub-cache cell on a ShardedSnapshot.
@@ -436,16 +368,6 @@ type ShardedStats struct {
 	ReachClasses, StitchClasses int
 }
 
-type shardedApplyOutcome struct {
-	res ShardedApplyResult
-	err error
-}
-
-type shardedApplyReq struct {
-	batch []graph.Update
-	res   chan shardedApplyOutcome
-}
-
 // shardCmd asks a shard writer to apply a local sub-batch (possibly empty)
 // and refresh its epoch view.
 type shardCmd struct {
@@ -513,13 +435,16 @@ func (w *shardWorker) run() {
 // ShardedStore is a concurrent compressed-graph store with k
 // partition-parallel write pipelines: one coordinator, one writer per
 // shard, any number of readers. See the file documentation for the
-// architecture and consistency model.
+// architecture and consistency model. Its engine routes each batch to the
+// shard writers and publishes a ShardedSnapshot; the coordinator goroutine
+// and everything else around the engine is the shared store shell
+// (shell.go). Its ApplyBatch returns a ShardedApplyResult.
 type ShardedStore struct {
-	opts   ShardedOptions
+	shell[ShardedSnapshot, ShardedApplyResult]
+
+	k      int // partition count, static for the life of the store
 	p      *part.Partition
 	labels *graph.Labels
-
-	dur *durable // nil for in-memory stores
 
 	// workers is nil in a store recovered from a snapshot until the first
 	// write forces ensureWorkers (the lazy warm-restart path). Only the
@@ -539,125 +464,69 @@ type ShardedStore struct {
 	hopIdx        []*hop2.Index     // cached per-shard 2-hop indexes
 	views         []*shardEpochView // latest per-shard views
 
-	snap     atomic.Pointer[ShardedSnapshot]
 	scratch  sync.Pool // *RouteScratch
 	bscratch sync.Pool // *BatchRouteScratch
-
-	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
-
-	reqs chan shardedApplyReq
-	idle chan struct{}
-
-	mu     sync.RWMutex // guards closed vs. sends on reqs
-	closed bool
-
-	batches atomic.Uint64
-	updates atomic.Uint64
-	reads   atomic.Uint64
-
-	// Batch read-path counters folded in from retired snapshots by
-	// publish, as on Store: lanes and 2-hop peels (same-shard index
-	// answers) plus the per-shard hub caches' lanes and prunes.
-	batchLanes atomic.Uint64
-	hop2Peeled atomic.Uint64
-	hubLanes   atomic.Uint64
-	hubPrunes  atomic.Uint64
-
-	ob *storeObs // nil unless ShardedOptions.Obs
 }
 
 // OpenSharded returns a running ShardedStore with opts.Shards
 // partition-parallel write pipelines; Close releases it.
 //
-// With no ShardedOptions.Dir it takes ownership of g (which must not be
-// used afterwards), partitions it, builds every shard's compression
-// pipeline concurrently, publishes the epoch-0 snapshot and starts the
-// coordinator; it never fails. With a Dir naming a fresh directory it
-// additionally writes the epoch-0 checkpoint and opens the write-ahead
-// log. With a Dir holding previous state, g must be nil: the store
-// recovers the whole epoch vector from the checkpoint, replays the WAL
-// tail through the per-shard maintainers, and serves reads without
-// recompressing anything.
+// With no Options.Dir it takes ownership of g (which must not be used
+// afterwards), partitions it, builds every shard's compression pipeline
+// concurrently, publishes the epoch-0 snapshot and starts the coordinator;
+// it never fails. With a Dir naming a fresh directory it additionally
+// writes the epoch-0 checkpoint and opens the write-ahead log. With a Dir
+// holding previous state, g must be nil: the store recovers the whole
+// epoch vector from the checkpoint, replays the WAL tail through the
+// per-shard maintainers, and serves reads without recompressing anything.
 func OpenSharded(g *graph.Graph, opts *ShardedOptions) (*ShardedStore, error) {
 	o := DefaultShardedOptions()
 	if opts != nil {
 		o = *opts
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Dir == "" {
-		if g == nil {
-			return nil, errors.New("store: OpenSharded needs a graph when no Dir is set")
-		}
-		return openShardedMem(g, o), nil
-	}
-	if HasState(o.Dir) {
-		if g != nil {
-			return nil, fmt.Errorf("%w (%s)", ErrStateExists, o.Dir)
-		}
-		return recoverSharded(o)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("store: %s holds no recoverable state and no graph was given", o.Dir)
-	}
-	s := openShardedMem(g, o)
-	d, err := newDurable(o.durableCfg(), snapfile.KindSharded)
-	if err != nil {
-		s.Close()
+	s := &ShardedStore{k: max(o.Shards, 1)}
+	if err := s.open(s, o.Options, snapfile.KindSharded, g); err != nil {
 		return nil, err
 	}
-	s.dur = d
-	if err := s.writeCheckpoint(s.Snapshot()); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := d.openLog(1); err != nil {
-		s.Close()
-		return nil, err
-	}
-	d.startBackground(s.persistSnapshot)
 	return s, nil
 }
 
-// openShardedMem builds the in-memory sharded store with eager per-shard
-// pipelines and starts the coordinator.
-func openShardedMem(g *graph.Graph, o ShardedOptions) *ShardedStore {
+// build partitions g and starts every shard's pipeline, materializing the
+// epoch-0 shard views.
+func (s *ShardedStore) build(g *graph.Graph) {
 	c := g.Freeze()
-	p := part.Split(c, o.Shards)
-	s := &ShardedStore{
-		opts:          o,
-		p:             p,
-		labels:        c.Labels(),
-		crossOut:      p.CrossOut,
-		crossInDeg:    p.CrossInDeg,
-		crossEdges:    p.CrossEdges,
-		boundaryDirty: true,
-		byClass:       make([][][]graph.Node, o.Shards),
-		hopIdx:        make([]*hop2.Index, o.Shards),
-		views:         make([]*shardEpochView, o.Shards),
-		reqs:          make(chan shardedApplyReq),
-		idle:          make(chan struct{}),
-		ob:            newStoreObs(o.Obs),
+	p := part.Split(c, s.k)
+	s.p = p
+	s.labels = c.Labels()
+	s.crossOut, s.crossInDeg, s.crossEdges = p.CrossOut, p.CrossInDeg, p.CrossEdges
+	s.boundaryDirty = true
+	s.initShardState()
+	s.workers = make([]*shardWorker, s.k)
+	for i := range s.workers {
+		s.workers[i] = s.startWorker(i, p.Subgraph(c, i))
 	}
+	s.roundTrip(make([][]graph.Update, s.k))
+}
+
+// initShardState allocates the per-shard caches and the scratch pool.
+func (s *ShardedStore) initShardState() {
+	s.byClass = make([][][]graph.Node, s.k)
+	s.hopIdx = make([]*hop2.Index, s.k)
+	s.views = make([]*shardEpochView, s.k)
 	s.scratch.New = func() any { return NewRouteScratch() }
-	s.workers = make([]*shardWorker, o.Shards)
-	for i := 0; i < o.Shards; i++ {
-		w := &shardWorker{
-			local: p.Subgraph(c, i),
-			reqs:  make(chan *shardCmd),
-			done:  make(chan struct{}),
-			hist:  shardBatchHist(o.Obs, i),
-		}
-		s.workers[i] = w
-		go w.run() // builds the shard pipeline, then serves commands
+}
+
+// startWorker launches shard i's writer over its local subgraph; the
+// writer builds the shard pipeline, then serves commands.
+func (s *ShardedStore) startWorker(i int, local *graph.Graph) *shardWorker {
+	w := &shardWorker{
+		local: local,
+		reqs:  make(chan *shardCmd),
+		done:  make(chan struct{}),
+		hist:  shardBatchHist(s.opts.Obs, i),
 	}
-	s.roundTrip(make([][]graph.Update, o.Shards))
-	s.publish(0)
-	s.sched = s.newSched()
-	s.bindShardedObs()
-	go s.run()
-	return s
+	go w.run()
+	return w
 }
 
 // newSched binds a scheduler to this store: cluster keys come from the
@@ -670,7 +539,7 @@ func (s *ShardedStore) newSched() *scheduler {
 		func(u, v graph.Node) uint64 {
 			return (uint64(s.p.ShardOf[u])&0xFFFFF)<<20 | uint64(s.p.ShardOf[v])&0xFFFFF
 		},
-		func() int { return s.opts.Shards },
+		func() int { return s.k },
 		func(us, vs []graph.Node, out []bool) {
 			brs := s.getBatchScratch()
 			s.Snapshot().BatchReachable(brs, us, vs, out)
@@ -742,214 +611,73 @@ func (s *ShardedStore) applyCross(u, v graph.Node, insert bool) bool {
 
 // ensureWorkers materializes the per-shard writers of a store recovered
 // from a snapshot: local graphs are thawed from the loaded shard views and
-// the incremental maintainers rebuilt, paying on the first write the
-// compression cost the warm restart skipped. Coordinator goroutine only.
+// the incremental maintainers rebuilt, paying on the first write (or the
+// WAL tail replay) the compression cost the warm restart skipped.
+// Coordinator goroutine only.
 func (s *ShardedStore) ensureWorkers() {
 	if s.workers != nil {
 		return
 	}
-	sn := s.snap.Load()
-	s.workers = make([]*shardWorker, s.opts.Shards)
+	sn := s.Snapshot()
+	s.workers = make([]*shardWorker, s.k)
 	for i := range s.workers {
-		w := &shardWorker{
-			local: sn.Shards[i].G.Thaw(),
-			reqs:  make(chan *shardCmd),
-			done:  make(chan struct{}),
-			hist:  shardBatchHist(s.opts.Obs, i),
-		}
-		s.workers[i] = w
-		go w.run()
+		s.workers[i] = s.startWorker(i, sn.Shards[i].G.Thaw())
 	}
 	for i := range s.views {
 		s.views[i] = nil // force every writer to materialize its view
 	}
-	s.roundTrip(make([][]graph.Update, s.opts.Shards))
+	s.roundTrip(make([][]graph.Update, s.k))
 }
 
-// routeBatch splits one global batch into per-shard local sub-batches and
-// coordinator-applied cross-shard updates, counting both into res.
-func (s *ShardedStore) routeBatch(batch []graph.Update, batches [][]graph.Update, res *ShardedApplyResult) {
-	for _, up := range batch {
-		su, sv := s.p.ShardOf[up.From], s.p.ShardOf[up.To]
-		if su == sv {
-			batches[su] = append(batches[su], graph.Update{
-				From:   s.p.LocalID[up.From],
-				To:     s.p.LocalID[up.To],
-				Insert: up.Insert,
-			})
-			res.LocalUpdates++
-		} else {
-			s.applyCross(up.From, up.To, up.Insert)
-			res.CrossUpdates++
-		}
-	}
-	s.updates.Add(uint64(len(batch)))
-}
-
-// run is the coordinator goroutine: it serializes batches, coalesces under
-// pressure, logs the group to the WAL before any state changes, routes
-// updates to the shard writers, and publishes one snapshot per group.
-func (s *ShardedStore) run() {
-	defer func() {
-		for _, w := range s.workers {
-			close(w.reqs)
-		}
-		for _, w := range s.workers {
-			<-w.done
-		}
-		close(s.idle)
-	}()
-	for req := range s.reqs {
-		pending := []shardedApplyReq{req}
-	drain:
-		for len(pending) < maxCoalesce {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, r)
-			default:
-				break drain
+// apply splits each batch into per-shard local sub-batches and
+// coordinator-applied cross-shard updates, then runs one round trip to the
+// shard writers for the whole group: routing order per shard and
+// cross-adjacency application order follow the batch order.
+func (s *ShardedStore) apply(batches [][]graph.Update, epochs []uint64) []ShardedApplyResult {
+	s.ensureWorkers()
+	local := make([][]graph.Update, s.k)
+	results := make([]ShardedApplyResult, len(batches))
+	for i, batch := range batches {
+		res := &results[i]
+		res.Epoch = epochs[i]
+		for _, up := range batch {
+			su, sv := s.p.ShardOf[up.From], s.p.ShardOf[up.To]
+			if su == sv {
+				local[su] = append(local[su], graph.Update{
+					From:   s.p.LocalID[up.From],
+					To:     s.p.LocalID[up.To],
+					Insert: up.Insert,
+				})
+				res.LocalUpdates++
+			} else {
+				s.applyCross(up.From, up.To, up.Insert)
+				res.CrossUpdates++
 			}
 		}
-		var applyStart time.Time
-		if s.ob != nil {
-			applyStart = time.Now()
-		}
-		epochs := make([]uint64, len(pending))
-		for i := range pending {
-			epochs[i] = s.batches.Add(1)
-		}
-		if s.dur != nil {
-			if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return pending[i].batch }); err != nil {
-				// Roll the epoch counter back so the next accepted group —
-				// possibly after a recovery reset the WAL — continues the
-				// acked sequence with no gap.
-				s.batches.Store(epochs[0] - 1)
-				for _, p := range pending {
-					p.res <- shardedApplyOutcome{err: err}
-				}
-				continue
-			}
-		}
-		s.ensureWorkers()
-		k := s.opts.Shards
-		batches := make([][]graph.Update, k)
-		results := make([]shardedApplyOutcome, len(pending))
-		for i, p := range pending {
-			results[i].res.Epoch = epochs[i]
-			s.routeBatch(p.batch, batches, &results[i].res)
-		}
-		s.roundTrip(batches)
-		s.publish(epochs[len(epochs)-1])
-		if s.ob != nil {
-			s.ob.apply.Observe(time.Since(applyStart))
-		}
-		for i, p := range pending {
-			p.res <- results[i]
-		}
-		s.maybeCheckpoint()
+	}
+	s.roundTrip(local)
+	return results
+}
+
+func (s *ShardedStore) head(sn *ShardedSnapshot) (uint64, *snapMeta) {
+	return sn.Epoch, &sn.snapMeta
+}
+
+func (s *ShardedStore) numShards() int { return s.k }
+
+// stopWriters stops every shard writer and waits for it to exit.
+func (s *ShardedStore) stopWriters() {
+	for _, w := range s.workers {
+		close(w.reqs)
+	}
+	for _, w := range s.workers {
+		<-w.done
 	}
 }
 
-// maybeCheckpoint hands the current snapshot to the durable layer's
-// background checkpoint trigger. Coordinator goroutine only.
-func (s *ShardedStore) maybeCheckpoint() {
-	if s.dur == nil {
-		return
-	}
-	sn := s.snap.Load()
-	s.dur.maybeCheckpoint(sn.Epoch, func() error { return s.writeCheckpoint(sn) })
-}
-
-// Checkpoint synchronously writes the current epoch vector to the durable
-// directory and truncates the WAL prefix it covers, as Store.Checkpoint.
-func (s *ShardedStore) Checkpoint() error {
-	if s.dur == nil {
-		return ErrNotDurable
-	}
-	return s.writeCheckpoint(s.Snapshot())
-}
-
-// writeCheckpoint persists sn as the directory's newest checkpoint.
-func (s *ShardedStore) writeCheckpoint(sn *ShardedSnapshot) error {
-	return s.dur.checkpoint(sn.Epoch, func(path string) error {
-		return snapfile.WriteShardedFS(s.dur.fs, path, shardedParts(s, sn))
-	})
-}
-
-// persistSnapshot checkpoints the current snapshot; the recovery loop and
-// the scrubber call it (force rewrites even at the newest epoch).
-func (s *ShardedStore) persistSnapshot(force bool) error {
-	sn := s.Snapshot()
-	return s.dur.checkpointAt(sn.Epoch, func(path string) error {
-		return snapfile.WriteShardedFS(s.dur.fs, path, shardedParts(s, sn))
-	}, force)
-}
-
-// Health reports the coordinator write path's health, as Store.Health. An
-// in-memory store is always Healthy.
-func (s *ShardedStore) Health() Health {
-	if s.dur == nil {
-		return Health{State: Healthy}
-	}
-	return s.dur.healthReport()
-}
-
-// Term returns the store's persisted leader term, as Store.Term; 0 on an
-// in-memory store.
-func (s *ShardedStore) Term() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.term.Load()
-}
-
-// Fenced reports whether the store has fenced itself read-only after
-// observing a newer leader term, as Store.Fenced.
-func (s *ShardedStore) Fenced() bool {
-	if s.dur == nil {
-		return false
-	}
-	return HealthState(s.dur.health.Load()) == Fenced
-}
-
-// ObserveTerm fences the store read-only if t is above its own term, as
-// Store.ObserveTerm. No-op on an in-memory store.
-func (s *ShardedStore) ObserveTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.observeTerm(t)
-}
-
-// AdoptTerm raises the store's term to t without fencing, as
-// Store.AdoptTerm. No-op on an in-memory store.
-func (s *ShardedStore) AdoptTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.adoptTerm(t)
-}
-
-// BumpTerm moves the store to a fresh term above both its own term and
-// min, clearing any fence, as Store.BumpTerm; ErrNotDurable on an
-// in-memory store.
-func (s *ShardedStore) BumpTerm(min uint64) (uint64, error) {
-	if s.dur == nil {
-		return 0, ErrNotDurable
-	}
-	return s.dur.bumpTerm(min)
-}
-
-// ScrubNow runs one integrity scrub pass synchronously, as Store.ScrubNow;
-// ErrNotDurable on an in-memory store.
-func (s *ShardedStore) ScrubNow() (ScrubReport, error) {
-	if s.dur == nil {
-		return ScrubReport{}, ErrNotDurable
-	}
-	return s.dur.scrubOnce(s.persistSnapshot), nil
+// writeSnap writes sn in the sharded snapfile layout.
+func (s *ShardedStore) writeSnap(fsys faultfs.FS, path string, sn *ShardedSnapshot) error {
+	return snapfile.WriteShardedFS(fsys, path, shardedParts(s, sn))
 }
 
 // shardedParts projects a published sharded snapshot onto the codec's
@@ -981,24 +709,17 @@ func shardedParts(s *ShardedStore, sn *ShardedSnapshot) *snapfile.ShardedParts {
 	return p
 }
 
-// recoverSharded reopens a durable sharded directory: rebuild the static
-// partition and the full epoch vector from the checkpoint by slicing, then
-// replay the WAL tail through freshly materialized shard pipelines.
-func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
-	d, err := newDurable(o.durableCfg(), snapfile.KindSharded)
-	if err != nil {
-		return nil, err
-	}
+// load rebuilds the static partition and the full epoch vector from the
+// checkpoint by slicing; the shard writers stay unstarted until the first
+// write.
+func (s *ShardedStore) load(d *durable) (*ShardedSnapshot, int, error) {
 	parts, err := snapfile.LoadShardedFS(d.fs, d.snapshotPath())
 	if err != nil {
-		return nil, err
-	}
-	if parts.Epoch != d.manifestEpoch {
-		return nil, fmt.Errorf("store: snapshot %s is epoch %d, manifest says %d", d.manifestSnapshot, parts.Epoch, d.manifestEpoch)
+		return nil, 0, err
 	}
 	k := parts.K
-	o.Shards = k
-	o.Indexes = parts.Shards[0].ReachIndex != nil
+	s.k = k
+	s.opts.Indexes = parts.Shards[0].ReachIndex != nil
 
 	// The static partition: ShardOf and the label array are stored; the
 	// dense local ids and per-shard node lists are re-derived exactly as
@@ -1025,22 +746,11 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 		}
 	}
 
-	s := &ShardedStore{
-		opts:       o,
-		p:          p,
-		labels:     parts.Labels,
-		dur:        d,
-		crossOut:   p.CrossOut,
-		crossInDeg: p.CrossInDeg,
-		crossEdges: p.CrossEdges,
-		boundary:   parts.Summary.Boundary,
-		byClass:    make([][][]graph.Node, k),
-		hopIdx:     make([]*hop2.Index, k),
-		views:      make([]*shardEpochView, k),
-		reqs:       make(chan shardedApplyReq),
-		idle:       make(chan struct{}),
-	}
-	s.scratch.New = func() any { return NewRouteScratch() }
+	s.p = p
+	s.labels = parts.Labels
+	s.crossOut, s.crossInDeg, s.crossEdges = p.CrossOut, p.CrossInDeg, p.CrossEdges
+	s.boundary = parts.Summary.Boundary
+	s.initShardState()
 	s.shardBoundary = make([][]graph.Node, k)
 	for _, v := range s.boundary {
 		sh := p.ShardOf[v]
@@ -1048,7 +758,7 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 	}
 
 	// Reassemble the epoch vector: per-shard views with re-derived
-	// class→summary-id maps, exactly as publish builds them.
+	// class→summary-id maps, exactly as assemble builds them.
 	shards := make([]ShardView, k)
 	for i := 0; i < k; i++ {
 		sp := &parts.Shards[i]
@@ -1059,7 +769,7 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 			by[cls] = append(by[cls], parts.Summary.SumID(g))
 		}
 		s.byClass[i] = by
-		if o.Indexes {
+		if s.opts.Indexes {
 			s.hopIdx[i] = sp.ReachIndex
 		}
 		shards[i] = ShardView{
@@ -1077,53 +787,13 @@ func recoverSharded(o ShardedOptions) (*ShardedStore, error) {
 		crossOut: append([][]graph.Node(nil), s.crossOut...),
 		hubs:     make([]shardHubSlot, k),
 	}
-	s.ob = newStoreObs(o.Obs)
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.sumHist = s.ob.summary
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	s.batches.Store(sn.Epoch)
-
-	if err := d.openLog(parts.Epoch + 1); err != nil {
-		return nil, err
-	}
-	tail, _, err := d.replayTail(parts.Epoch, n) // routeBatch recounts updates
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	if len(tail) > 0 {
-		// Replay the tail as one coalesced group: routing order per shard
-		// and cross-adjacency application order match the original run's.
-		s.ensureWorkers()
-		batches := make([][]graph.Update, k)
-		var res ShardedApplyResult
-		for _, batch := range tail {
-			s.routeBatch(batch, batches, &res)
-		}
-		s.roundTrip(batches)
-		epoch := sn.Epoch + uint64(len(tail))
-		s.batches.Store(epoch)
-		s.publish(epoch)
-	}
-	d.startBackground(s.persistSnapshot)
-	s.sched = s.newSched()
-	s.bindShardedObs()
-	go s.run()
-	return s, nil
+	return sn, n, nil
 }
 
-// publish assembles and swaps in the epoch's snapshot from the latest
-// shard views and cross-shard state. Called from OpenSharded and then only
-// from the coordinator goroutine.
-func (s *ShardedStore) publish(epoch uint64) {
-	var pubStart time.Time
-	if s.ob != nil {
-		pubStart = time.Now()
-	}
-	k := s.opts.Shards
+// assemble builds the epoch's snapshot from the latest shard views and
+// cross-shard state.
+func (s *ShardedStore) assemble(epoch uint64) *ShardedSnapshot {
+	k := s.k
 	if s.boundaryDirty {
 		s.boundary = part.BoundaryNodes(s.crossOut, s.crossInDeg)
 		s.shardBoundary = make([][]graph.Node, k)
@@ -1190,7 +860,7 @@ func (s *ShardedStore) publish(epoch uint64) {
 		}
 		v.dirty = false
 	}
-	sn := &ShardedSnapshot{
+	return &ShardedSnapshot{
 		Epoch:    epoch,
 		Shards:   shards,
 		Summary:  summary,
@@ -1199,65 +869,6 @@ func (s *ShardedStore) publish(epoch uint64) {
 		crossOut: append([][]graph.Node(nil), s.crossOut...),
 		hubs:     make([]shardHubSlot, k),
 	}
-	// Fold the retiring snapshot's batch counters, as in Store.publish —
-	// all four: dropping the hub pair here is how the sharded SchedStats
-	// used to under-report the hub-cache leaf.
-	if old := s.snap.Load(); old != nil {
-		s.batchLanes.Add(old.bstats.lanes.Load())
-		s.hop2Peeled.Add(old.bstats.hop2Peeled.Load())
-		s.hubLanes.Add(old.bstats.hubLanes.Load())
-		s.hubPrunes.Add(old.bstats.hubPrunes.Load())
-	}
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.sumHist = s.ob.summary
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	if s.ob != nil {
-		s.ob.notePublish(time.Since(pubStart))
-	}
-}
-
-// ApplyBatch submits one batch ΔG and blocks until the snapshot containing
-// it is published. Semantics match Store.ApplyBatch: arrival order,
-// batch-atomic visibility, WAL durability before acknowledgement on a
-// durable store, ErrClosed after Close.
-func (s *ShardedStore) ApplyBatch(batch []graph.Update) (ShardedApplyResult, error) {
-	req := shardedApplyReq{batch: batch, res: make(chan shardedApplyOutcome, 1)}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ShardedApplyResult{}, ErrClosed
-	}
-	s.reqs <- req
-	s.mu.RUnlock()
-	out := <-req.res
-	return out.res, out.err
-}
-
-// Close stops the coordinator and every shard writer after the queue
-// drains, stops the recovery and scrub loops, waits for any in-flight
-// background checkpoint, and closes the WAL. Queries remain answerable on
-// the final snapshot; further ApplyBatch calls fail with ErrClosed. Close
-// is idempotent and, like Store.Close, does not checkpoint — call
-// Checkpoint first for a pure-load restart. It returns a background
-// checkpoint failure still outstanding at close.
-func (s *ShardedStore) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.reqs)
-	}
-	s.mu.Unlock()
-	<-s.idle
-	if s.sched != nil {
-		s.sched.close()
-	}
-	if s.dur != nil {
-		return s.dur.close()
-	}
-	return nil
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to
@@ -1279,27 +890,6 @@ func (s *ShardedStore) SchedReachable(u, v graph.Node) bool {
 	ok := s.Snapshot().Reachable(rs, u, v)
 	s.scratch.Put(rs)
 	return ok
-}
-
-// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
-// GOMAXPROCS.
-func (s *ShardedStore) SetSchedWorkers(n int) { s.sched.setWorkers(n) }
-
-// SchedStats reports the multi-wave scheduler and batch read-path
-// counters, as Store.SchedStats. Hop2Peeled counts same-shard index
-// answers; the hub fields count the per-shard hub caches' O(1) lanes and
-// subtree prunes in the unindexed local sweeps.
-func (s *ShardedStore) SchedStats() SchedStats {
-	st := s.sched.stats()
-	sn := s.Snapshot()
-	st.BatchLanes = s.batchLanes.Load() + sn.bstats.lanes.Load()
-	st.Hop2Peeled = s.hop2Peeled.Load() + sn.bstats.hop2Peeled.Load()
-	st.HubCacheLanes = s.hubLanes.Load() + sn.bstats.hubLanes.Load()
-	st.HubCachePrunes = s.hubPrunes.Load() + sn.bstats.hubPrunes.Load()
-	if st.BatchLanes > 0 {
-		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
-	}
-	return st
 }
 
 // getScratch pools routing scratch across readers.
@@ -1340,7 +930,7 @@ func (s *ShardedStore) Stats() ShardedStats {
 		Batches:       s.batches.Load(),
 		Updates:       s.updates.Load(),
 		Reads:         s.reads.Load(),
-		Shards:        s.opts.Shards,
+		Shards:        s.k,
 		Nodes:         len(s.p.ShardOf),
 		Boundary:      sn.Summary.NumBoundary(),
 		SummaryEdges:  sn.Summary.S.NumEdges(),

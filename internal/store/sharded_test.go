@@ -59,7 +59,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		for _, k := range []int{1, 3, 4} {
 			indexes := k%2 == 1 // alternate: k=1,3 with, k=4 without
 			mono := mustOpen(t, g.Clone(), nil)
-			sh := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: k, Indexes: indexes})
+			sh := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: indexes}, Shards: k})
 			mirror := g.Clone()
 
 			rng := rand.New(rand.NewSource(int64(k) * 31))
@@ -135,7 +135,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 func TestShardedCloseLifecycle(t *testing.T) {
 	g := socialGraph(3, 80, 300)
 	mirror := g.Clone()
-	s := mustOpenSharded(t, g, &ShardedOptions{Shards: 3, Indexes: true})
+	s := mustOpenSharded(t, g, &ShardedOptions{Options: Options{Indexes: true}, Shards: 3})
 	batch := []graph.Update{graph.Insertion(0, 1), graph.Insertion(1, 2)}
 	mirror.Apply(batch)
 	if _, err := s.ApplyBatch(batch); err != nil {
@@ -188,7 +188,7 @@ func TestShardedStressReadersVsWriter(t *testing.T) {
 		mirror.Apply(batches[i])
 	}
 	n := g.NumNodes()
-	s := mustOpenSharded(t, g, &ShardedOptions{Shards: 4, Indexes: true})
+	s := mustOpenSharded(t, g, &ShardedOptions{Options: Options{Indexes: true}, Shards: 4})
 
 	var stop atomic.Bool
 	var mismatches atomic.Int64
@@ -238,7 +238,7 @@ func TestShardedSchedStatsCountersMove(t *testing.T) {
 
 	// Unindexed: lanes must reach the local sweeps, where the lane volume
 	// opens the per-shard hub-cache gates mid-wave.
-	s := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 2, Indexes: false})
+	s := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: false}, Shards: 2})
 	defer s.Close()
 	sn := s.Snapshot()
 	for i := range sn.Shards {
@@ -284,7 +284,7 @@ func TestShardedSchedStatsCountersMove(t *testing.T) {
 	// shards than the gate, 600 lanes over that many source shards MUST sort
 	// some same-shard lanes adjacent (pigeonhole), whatever the machine's
 	// scheduling does.
-	sc := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: schedClusterMinBuckets + 2, Indexes: false})
+	sc := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: false}, Shards: schedClusterMinBuckets + 2})
 	defer sc.Close()
 	sc.BatchReachable(us, vs)
 	if st := sc.SchedStats(); st.ClusteredLanes == 0 {
@@ -320,7 +320,7 @@ func TestShardedSchedStatsCountersMove(t *testing.T) {
 	}
 
 	// Indexed variant: same-shard lanes peel through the 2-hop index.
-	si := mustOpenSharded(t, g.Clone(), &ShardedOptions{Shards: 2, Indexes: true})
+	si := mustOpenSharded(t, g.Clone(), &ShardedOptions{Options: Options{Indexes: true}, Shards: 2})
 	defer si.Close()
 	si.BatchReachable(us, vs)
 	if st := si.SchedStats(); st.Hop2Peeled == 0 {

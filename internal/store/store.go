@@ -38,18 +38,22 @@
 // after which the covered log prefix is truncated. Reopening the directory
 // (Open with a nil graph) loads the newest checkpoint by slicing its flat
 // layout — no recompression — and replays any log tail through the
-// incremental maintainers' Replay entry points. A store recovered with an
+// incremental maintainers as one coalesced group. A store recovered with an
 // empty tail serves reads straight from the loaded snapshot and defers
 // building maintainer state until the first write. See DESIGN.md,
 // "Durability".
+//
+// # One shell, two engines
+//
+// Store and ShardedStore share everything above: one writer loop, one
+// durability, health and term surface, one Options struct (shell.go). They
+// differ only in their engine — how a logged batch group is applied and
+// which snapshot type it publishes.
 package store
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bisim"
 	"repro/internal/faultfs"
@@ -57,124 +61,11 @@ import (
 	"repro/internal/hop2"
 	"repro/internal/incbisim"
 	"repro/internal/increach"
-	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/queries"
 	"repro/internal/reach"
 	"repro/internal/snapfile"
-	"repro/internal/wal"
 )
-
-// ErrClosed is returned by ApplyBatch after Close.
-var ErrClosed = errors.New("store: closed")
-
-// ErrStateExists is returned by Open/OpenSharded when a graph is passed
-// but the directory already holds durable state: recovering would discard
-// the graph, initializing would discard the state. Pass a nil graph to
-// recover, or point Dir at a fresh directory.
-var ErrStateExists = errors.New("store: directory already contains durable state; pass a nil graph to recover it")
-
-// ErrNotDurable is returned by Checkpoint on a store opened without a Dir.
-var ErrNotDurable = errors.New("store: not durable (no Options.Dir)")
-
-// SyncMode is the WAL fsync policy, re-exported from internal/wal.
-type SyncMode = wal.SyncMode
-
-const (
-	// SyncAlways fsyncs the WAL once per coalesced batch group, before any
-	// caller is acknowledged: an acked batch survives power failure.
-	SyncAlways = wal.SyncAlways
-	// SyncNone leaves flushing to the OS: an acked batch survives a
-	// process crash but may be lost on power failure.
-	SyncNone = wal.SyncNone
-)
-
-// maxCoalesce bounds how many queued batches the writer folds into one
-// snapshot rebuild.
-const maxCoalesce = 32
-
-// Options configures a Store.
-type Options struct {
-	// Indexes controls whether each snapshot carries 2-hop reachability
-	// indexes built over the two compressed graphs (the paper's Fig. 12(d)
-	// point: indexing Gr is cheap where indexing G is not). Building them
-	// adds per-epoch work proportional to the (small) quotients. When
-	// recovering from a durable directory, the loaded snapshot's own
-	// index presence wins, so a store restarts with the configuration it
-	// was serving.
-	Indexes bool
-	// Dir enables durability: snapshot checkpoints and the write-ahead
-	// log live here. Empty means in-memory only.
-	Dir string
-	// Sync is the WAL fsync policy (durable stores only).
-	Sync SyncMode
-	// CheckpointBatches triggers a background checkpoint once this many
-	// batches accumulated since the last one. 0 means the default (256);
-	// negative disables the batch trigger.
-	CheckpointBatches int
-	// CheckpointBytes triggers a background checkpoint once the WAL holds
-	// this many bytes. 0 means the default (8 MiB); negative disables the
-	// byte trigger.
-	CheckpointBytes int64
-	// FS is the filesystem the durable layer runs on. Nil means the real
-	// disk; tests substitute a faultfs.Inject to fire storage faults
-	// deterministically.
-	FS faultfs.FS
-	// WriteRetries is how many times a failed WAL append group is retried
-	// in place (with capped exponential backoff) before the write path
-	// degrades. 0 means the default (4); negative disables retries.
-	WriteRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt up to a cap. 0 means the default (5ms).
-	RetryBackoff time.Duration
-	// RecoveryInterval is how often a degraded store re-probes its
-	// directory to re-arm the write path. 0 means the default (250ms);
-	// negative disables background recovery.
-	RecoveryInterval time.Duration
-	// ScrubInterval enables the background integrity scrubber at this
-	// cadence; 0 (the default) disables it. ScrubNow works either way.
-	ScrubInterval time.Duration
-	// ScrubRate bounds scrub IO in bytes/sec. 0 means the default (8 MiB/s).
-	ScrubRate int64
-	// WALSegmentBytes is the WAL's segment rotation threshold. 0 means the
-	// wal package default (4 MiB); smaller values seal segments sooner,
-	// giving checkpoint truncation and the scrubber finer granularity.
-	WALSegmentBytes int64
-	// SchedWorkers sizes the multi-wave batch scheduler's worker pool
-	// (sched.go): large BatchReachable calls split into waves claimed
-	// across the pool, and SchedReachable point queries coalesce into
-	// shared waves. 0 means GOMAXPROCS at Open time; SetSchedWorkers
-	// resizes a running pool.
-	SchedWorkers int
-	// Obs, when non-nil, receives the store's metrics: apply/publish
-	// latency histograms, epoch age, scheduler wave latency and occupancy,
-	// batch read-path leaf counters, WAL fsync latency and group-commit
-	// sizes, and the self-healing layer's health state. Nil (the default)
-	// disables all instrumentation at zero hot-path cost.
-	Obs *obs.Registry
-}
-
-// durableCfg projects the durable layer's cut of the options.
-func (o Options) durableCfg() durableConfig {
-	return durableConfig{
-		dir:              o.Dir,
-		sync:             o.Sync,
-		ckptBatches:      o.CheckpointBatches,
-		ckptBytes:        o.CheckpointBytes,
-		fs:               o.FS,
-		writeRetries:     o.WriteRetries,
-		retryBackoff:     o.RetryBackoff,
-		recoveryInterval: o.RecoveryInterval,
-		scrubInterval:    o.ScrubInterval,
-		scrubRate:        o.ScrubRate,
-		segBytes:         o.WALSegmentBytes,
-		obsReg:           o.Obs,
-	}
-}
-
-// DefaultOptions returns the standard configuration: 2-hop indexes on,
-// in-memory (no Dir), SyncAlways once a Dir is set.
-func DefaultOptions() Options { return Options{Indexes: true} }
 
 // ReachView is the reachability-compressed face of one snapshot.
 type ReachView struct {
@@ -216,21 +107,12 @@ type Snapshot struct {
 	gord  atomic.Pointer[graph.Reordered]
 	gperm []graph.Node
 
-	// Batch read-path state, epoch-local by construction: a fresh snapshot
-	// starts with empty counters and no hub cache, so a cached hub
-	// reach-set never outlives its epoch (see hubcache.go). Counters are
-	// metadata only — no query-visible state ever changes after
-	// publication.
-	bstats  batchCounters
+	// Batch read-path state: the epoch-local counters and instruments, and
+	// the lazy hub cache (hubcache.go), which a write retires with its
+	// snapshot.
+	snapMeta
 	hubOnce sync.Once
 	hub     atomic.Pointer[hubCache]
-	// leafHist, when non-nil, times each wave's leaf-engine work
-	// (qpgc_query_stage_seconds{stage="leaf"}); copied from the store's
-	// instruments at publish so BatchReachable pays only a nil check when
-	// metrics are off. so shares the sampling clock: only 1 in
-	// obsSampleWaves waves pays the clock reads.
-	leafHist *obs.Histogram
-	so       *storeObs
 	// Reach is the reachability-compressed read path.
 	Reach ReachView
 	// Pattern is the pattern-compressed read path.
@@ -342,20 +224,13 @@ type Stats struct {
 	PatternRatio   float64
 }
 
-type applyOutcome struct {
-	res ApplyResult
-	err error
-}
-
-type applyReq struct {
-	batch []graph.Update
-	res   chan applyOutcome
-}
-
 // Store is a concurrent compressed-graph store: one writer, any number of
-// readers. See the package documentation for the consistency model.
+// readers. See the package documentation for the consistency model. Its
+// engine maintains one increach+incbisim pipeline over the whole graph and
+// publishes a Snapshot per coalesced batch group; everything else is the
+// shared store shell (shell.go). Its ApplyBatch returns an ApplyResult.
 type Store struct {
-	opts Options
+	shell[Snapshot, ApplyResult]
 
 	// rm/pm own the authoritative write-side state (pm keeps its own graph
 	// copy in lockstep). Both are nil in a store recovered from a snapshot
@@ -365,32 +240,8 @@ type Store struct {
 	rm *increach.Maintainer
 	pm *incbisim.Maintainer
 
-	dur *durable // nil for in-memory stores
-
-	snap     atomic.Pointer[Snapshot]
 	scratch  sync.Pool // *queries.Scratch
 	bscratch sync.Pool // *queries.BatchScratch
-
-	sched *scheduler // multi-wave batch scheduler; nil only before open finishes
-
-	reqs chan applyReq
-	idle chan struct{} // closed when the writer goroutine exits
-
-	mu     sync.RWMutex // guards closed vs. sends on reqs
-	closed bool
-
-	batches atomic.Uint64
-	updates atomic.Uint64
-	reads   atomic.Uint64
-
-	// Batch read-path counters folded in from retired snapshots by
-	// publish; SchedStats adds the live snapshot's share on top.
-	batchLanes atomic.Uint64
-	hop2Peeled atomic.Uint64
-	hubLanes   atomic.Uint64
-	hubPrunes  atomic.Uint64
-
-	ob *storeObs // nil unless Options.Obs
 }
 
 // Open returns a running Store serving queries on both compressed forms
@@ -409,59 +260,20 @@ func Open(g *graph.Graph, opts *Options) (*Store, error) {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Dir == "" {
-		if g == nil {
-			return nil, errors.New("store: Open needs a graph when no Dir is set")
-		}
-		return openMem(g, o), nil
-	}
-	if HasState(o.Dir) {
-		if g != nil {
-			return nil, fmt.Errorf("%w (%s)", ErrStateExists, o.Dir)
-		}
-		return recoverStore(o)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("store: %s holds no recoverable state and no graph was given", o.Dir)
-	}
-	s := openMem(g, o)
-	d, err := newDurable(o.durableCfg(), snapfile.KindStore)
-	if err != nil {
-		s.Close()
+	s := &Store{}
+	if err := s.open(s, o, snapfile.KindStore, g); err != nil {
 		return nil, err
 	}
-	s.dur = d
-	if err := s.writeCheckpoint(s.Snapshot()); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := d.openLog(1); err != nil {
-		s.Close()
-		return nil, err
-	}
-	d.startBackground(s.persistSnapshot)
 	return s, nil
 }
 
-// openMem builds the in-memory store around fresh maintainers and starts
-// the writer.
-func openMem(g *graph.Graph, o Options) *Store {
+// build compresses g under both schemes through fresh maintainers.
+func (s *Store) build(g *graph.Graph) {
 	n := g.NumNodes() // captured now: the closure below runs on reader
 	// goroutines and must not touch the writer-owned graph
-	s := &Store{
-		opts: o,
-		rm:   increach.New(g),
-		pm:   incbisim.New(g.Clone()),
-		reqs: make(chan applyReq),
-		idle: make(chan struct{}),
-		ob:   newStoreObs(o.Obs),
-	}
+	s.rm = increach.New(g)
+	s.pm = incbisim.New(g.Clone())
 	s.scratch.New = func() any { return queries.NewScratch(n) }
-	s.publish(0)
-	s.sched = s.newSched()
-	s.bindStoreObs()
-	go s.run()
-	return s
 }
 
 // newSched binds a scheduler to this store: cluster keys come from the
@@ -484,8 +296,8 @@ func (s *Store) newSched() *scheduler {
 }
 
 // ensureMaintainers materializes the incremental maintainers of a store
-// recovered from a snapshot with no WAL tail: the first write pays the
-// one-time compression cost that the warm restart skipped. Writer
+// recovered from a snapshot: the first write (or the WAL tail replay) pays
+// the one-time compression cost that the warm restart skipped. Writer
 // goroutine only.
 func (s *Store) ensureMaintainers() {
 	if s.rm != nil {
@@ -496,13 +308,22 @@ func (s *Store) ensureMaintainers() {
 	s.pm = incbisim.New(gm.Clone())
 }
 
-// publish rebuilds the snapshot from the maintainers and swaps it in.
-// Called from Open and then only from the writer goroutine.
-func (s *Store) publish(epoch uint64) {
-	var pubStart time.Time
-	if s.ob != nil {
-		pubStart = time.Now()
+// apply runs each batch through both maintainers.
+func (s *Store) apply(batches [][]graph.Update, epochs []uint64) []ApplyResult {
+	s.ensureMaintainers()
+	results := make([]ApplyResult, len(batches))
+	for i, b := range batches {
+		results[i] = ApplyResult{
+			Epoch:   epochs[i],
+			Reach:   s.rm.Apply(b),
+			Pattern: s.pm.Apply(b),
+		}
 	}
+	return results
+}
+
+// assemble freezes the maintainers' state into the snapshot of epoch.
+func (s *Store) assemble(epoch uint64) *Snapshot {
 	csrG := s.rm.Graph().Freeze()
 	rc, rGr := s.rm.CompressedCSR()
 	// The two maintainers hold separate graph copies with identical
@@ -525,200 +346,18 @@ func (s *Store) publish(epoch uint64) {
 		sn.Reach.Index = hop2.BuildCSR(rGr)
 		sn.Pattern.Index = hop2.BuildCSR(pGr)
 	}
-	// Fold the retiring snapshot's batch counters into the store
-	// accumulators — the epoch swap that also retires its hub cache.
-	// Readers still pinning the old snapshot may bump its counters after
-	// the fold; those late events are dropped (stats, not a ledger).
-	if old := s.snap.Load(); old != nil {
-		s.batchLanes.Add(old.bstats.lanes.Load())
-		s.hop2Peeled.Add(old.bstats.hop2Peeled.Load())
-		s.hubLanes.Add(old.bstats.hubLanes.Load())
-		s.hubPrunes.Add(old.bstats.hubPrunes.Load())
-	}
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	if s.ob != nil {
-		s.ob.notePublish(time.Since(pubStart))
-	}
+	return sn
 }
 
-// run is the writer goroutine: it serializes batches, folds queued requests
-// into one snapshot rebuild, logs the group to the WAL (group commit)
-// before any state changes, and signals completion after publication.
-func (s *Store) run() {
-	defer close(s.idle)
-	for req := range s.reqs {
-		pending := []applyReq{req}
-	drain:
-		for len(pending) < maxCoalesce {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, r)
-			default:
-				break drain
-			}
-		}
-		// WAL first: the group is appended and committed before any batch
-		// is applied or acknowledged, so acked ⇒ durable. A log failure
-		// that survives the in-place retries degrades the write path —
-		// reads keep working on the last snapshot, writes fail fast — until
-		// the background recovery loop re-arms it: with the log behind the
-		// maintainers' state, continuing would acknowledge updates a
-		// restart silently forgets.
-		var applyStart time.Time
-		if s.ob != nil {
-			applyStart = time.Now()
-		}
-		epochs := make([]uint64, len(pending))
-		for i := range pending {
-			epochs[i] = s.batches.Add(1)
-		}
-		if s.dur != nil {
-			if err := s.dur.appendGroup(epochs, func(i int) []graph.Update { return pending[i].batch }); err != nil {
-				// Roll the epoch counter back so the next accepted group —
-				// possibly after a recovery reset the WAL — continues the
-				// acked sequence with no gap.
-				s.batches.Store(epochs[0] - 1)
-				for _, p := range pending {
-					p.res <- applyOutcome{err: err}
-				}
-				continue
-			}
-		}
-		s.ensureMaintainers()
-		results := make([]applyOutcome, len(pending))
-		for i, p := range pending {
-			results[i].res = ApplyResult{
-				Epoch:   epochs[i],
-				Reach:   s.rm.Apply(p.batch),
-				Pattern: s.pm.Apply(p.batch),
-			}
-			s.updates.Add(uint64(len(p.batch)))
-		}
-		s.publish(epochs[len(epochs)-1])
-		if s.ob != nil {
-			s.ob.apply.Observe(time.Since(applyStart))
-		}
-		for i, p := range pending {
-			p.res <- results[i]
-		}
-		s.maybeCheckpoint()
-	}
-}
+func (s *Store) head(sn *Snapshot) (uint64, *snapMeta) { return sn.Epoch, &sn.snapMeta }
 
-// maybeCheckpoint hands the current snapshot to the durable layer's
-// background checkpoint trigger. Writer goroutine only.
-func (s *Store) maybeCheckpoint() {
-	if s.dur == nil {
-		return
-	}
-	sn := s.snap.Load()
-	s.dur.maybeCheckpoint(sn.Epoch, func() error { return s.writeCheckpoint(sn) })
-}
+func (s *Store) numShards() int { return 1 }
 
-// Checkpoint synchronously writes the current snapshot to the durable
-// directory, points the manifest at it, and truncates the WAL prefix it
-// covers. After Checkpoint, reopening the directory is a pure snapshot
-// load. It fails with ErrNotDurable on an in-memory store.
-func (s *Store) Checkpoint() error {
-	if s.dur == nil {
-		return ErrNotDurable
-	}
-	return s.writeCheckpoint(s.Snapshot())
-}
+func (s *Store) stopWriters() {}
 
-// writeCheckpoint persists sn as the directory's newest checkpoint.
-func (s *Store) writeCheckpoint(sn *Snapshot) error {
-	return s.dur.checkpoint(sn.Epoch, func(path string) error {
-		return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn))
-	})
-}
-
-// persistSnapshot checkpoints the current snapshot; the recovery loop and
-// the scrubber call it (force rewrites even at the newest epoch).
-func (s *Store) persistSnapshot(force bool) error {
-	sn := s.Snapshot()
-	return s.dur.checkpointAt(sn.Epoch, func(path string) error {
-		return snapfile.WriteStoreFS(s.dur.fs, path, storeParts(sn))
-	}, force)
-}
-
-// Health reports the write path's health: state, degradation reason,
-// retry/degradation/recovery counters and the last scrub. An in-memory
-// store is always Healthy.
-func (s *Store) Health() Health {
-	if s.dur == nil {
-		return Health{State: Healthy}
-	}
-	return s.dur.healthReport()
-}
-
-// Term returns the store's persisted leader term; 0 on an in-memory store
-// (terms only mean something for durable, replicable stores).
-func (s *Store) Term() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.term.Load()
-}
-
-// Fenced reports whether the store has fenced itself read-only after
-// observing a newer leader term.
-func (s *Store) Fenced() bool {
-	if s.dur == nil {
-		return false
-	}
-	return HealthState(s.dur.health.Load()) == Fenced
-}
-
-// ObserveTerm is the leader-side term check: if t is above the store's own
-// term, another node was promoted and this store fences itself read-only
-// (writes fail fast with ErrFenced; reads keep serving). Equal or lower
-// terms, and in-memory stores, are no-ops.
-func (s *Store) ObserveTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.observeTerm(t)
-}
-
-// AdoptTerm is the follower-side term check: raise the store's term to t
-// without fencing, so a follower tailing a newly promoted leader keeps
-// applying shipped batches. Equal or lower terms, and in-memory stores,
-// are no-ops.
-func (s *Store) AdoptTerm(t uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.adoptTerm(t)
-}
-
-// BumpTerm moves the store to a fresh term strictly above both its own
-// term and min, fsyncs it, and clears any fence — the promotion step. It
-// returns the new term, or ErrNotDurable on an in-memory store.
-func (s *Store) BumpTerm(min uint64) (uint64, error) {
-	if s.dur == nil {
-		return 0, ErrNotDurable
-	}
-	return s.dur.bumpTerm(min)
-}
-
-// ScrubNow runs one integrity scrub pass synchronously — verify sealed WAL
-// segments and snapshot checksums, quarantine corrupt files, re-checkpoint
-// if anything was set aside — and returns its report. It works whether or
-// not the background scrubber is enabled; ErrNotDurable on an in-memory
-// store.
-func (s *Store) ScrubNow() (ScrubReport, error) {
-	if s.dur == nil {
-		return ScrubReport{}, ErrNotDurable
-	}
-	return s.dur.scrubOnce(s.persistSnapshot), nil
+// writeSnap writes sn in the monolithic snapfile layout.
+func (s *Store) writeSnap(fsys faultfs.FS, path string, sn *Snapshot) error {
+	return snapfile.WriteStoreFS(fsys, path, storeParts(sn))
 }
 
 // storeParts projects a published snapshot onto the codec's flat form. The
@@ -740,22 +379,14 @@ func storeParts(sn *Snapshot) *snapfile.StoreParts {
 	}
 }
 
-// recoverStore reopens a durable directory: load the newest checkpoint,
-// replay the WAL tail through the maintainers' Replay entry points, and
-// start serving. With an empty tail no compression work happens at all.
-func recoverStore(o Options) (*Store, error) {
-	d, err := newDurable(o.durableCfg(), snapfile.KindStore)
-	if err != nil {
-		return nil, err
-	}
+// load slices the newest checkpoint into a serving snapshot without
+// recompressing anything; the maintainers stay nil until the first write.
+func (s *Store) load(d *durable) (*Snapshot, int, error) {
 	parts, err := snapfile.LoadStoreFS(d.fs, d.snapshotPath())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if parts.Epoch != d.manifestEpoch {
-		return nil, fmt.Errorf("store: snapshot %s is epoch %d, manifest says %d", d.manifestSnapshot, parts.Epoch, d.manifestEpoch)
-	}
-	o.Indexes = parts.ReachIndex != nil
+	s.opts.Indexes = parts.ReachIndex != nil
 	// The locality permutation of G round-trips through the snapshot file:
 	// GOrd applies it instead of recomputing the numbering, so a recovered
 	// snapshot serves the exact layout it checkpointed. Older snapshots
@@ -775,93 +406,9 @@ func recoverStore(o Options) (*Store, error) {
 			Index:      parts.PatternIndex,
 		},
 	}
-	s := &Store{
-		opts: o,
-		dur:  d,
-		reqs: make(chan applyReq),
-		idle: make(chan struct{}),
-		ob:   newStoreObs(o.Obs),
-	}
 	n := sn.G.NumNodes()
 	s.scratch.New = func() any { return queries.NewScratch(n) }
-	if s.ob != nil {
-		sn.leafHist = s.ob.leaf
-		sn.so = s.ob
-	}
-	s.snap.Store(sn)
-	s.batches.Store(sn.Epoch)
-
-	if err := d.openLog(parts.Epoch + 1); err != nil {
-		return nil, err
-	}
-	tail, updates, err := d.replayTail(parts.Epoch, n)
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	if len(tail) > 0 {
-		// The tail exists only when the last run crashed or closed between
-		// checkpoints; replaying it re-pays maintenance for those batches
-		// but never recompresses the checkpointed prefix.
-		gm := sn.G.Thaw()
-		gp := gm.Clone()
-		s.rm = increach.Replay(gm, tail)
-		s.pm = incbisim.Replay(gp, tail)
-		s.batches.Store(sn.Epoch + uint64(len(tail)))
-		s.updates.Store(updates)
-		s.publish(sn.Epoch + uint64(len(tail)))
-	}
-	d.startBackground(s.persistSnapshot)
-	s.sched = s.newSched()
-	s.bindStoreObs()
-	go s.run()
-	return s, nil
-}
-
-// ApplyBatch submits one batch ΔG and blocks until the snapshot containing
-// it is published; the store then equals G ⊕ ΔG for every reader, and — on
-// a durable store — the batch is on stable storage per the Sync policy.
-// Batches from concurrent callers are applied in arrival order. It returns
-// ErrClosed after Close. On a durable store whose write path is degraded
-// by a persistent storage fault it fails fast with the degradation reason
-// — no state changes, nothing is acknowledged — until background recovery
-// re-arms the path (see Health).
-func (s *Store) ApplyBatch(batch []graph.Update) (ApplyResult, error) {
-	req := applyReq{batch: batch, res: make(chan applyOutcome, 1)}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ApplyResult{}, ErrClosed
-	}
-	s.reqs <- req
-	s.mu.RUnlock()
-	out := <-req.res
-	return out.res, out.err
-}
-
-// Close stops the writer goroutine after the queue drains, stops the
-// recovery and scrub loops, waits for any in-flight background checkpoint,
-// and closes the WAL. Queries remain answerable on the final snapshot;
-// further ApplyBatch calls fail. Close does not checkpoint: a reopen
-// replays the WAL tail instead (call Checkpoint first to make the next
-// start a pure snapshot load). It returns a background checkpoint failure
-// still outstanding at close, so a caller that never checked Health sees
-// the directory ended behind where it should be.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.reqs)
-	}
-	s.mu.Unlock()
-	<-s.idle
-	if s.sched != nil {
-		s.sched.close()
-	}
-	if s.dur != nil {
-		return s.dur.close()
-	}
-	return nil
+	return sn, n, nil
 }
 
 // Snapshot returns the current epoch's immutable query state. Use it to pin
@@ -885,25 +432,6 @@ func (s *Store) SchedReachable(u, v graph.Node) bool {
 	ok := s.Snapshot().Reachable(sc, u, v)
 	s.scratch.Put(sc)
 	return ok
-}
-
-// SetSchedWorkers resizes the scheduler's worker pool; n <= 0 means
-// GOMAXPROCS.
-func (s *Store) SetSchedWorkers(n int) { s.sched.setWorkers(n) }
-
-// SchedStats reports the multi-wave scheduler and the batch read path's
-// hybrid-leaf counters (retired epochs' counts plus the live snapshot's).
-func (s *Store) SchedStats() SchedStats {
-	st := s.sched.stats()
-	sn := s.Snapshot()
-	st.BatchLanes = s.batchLanes.Load() + sn.bstats.lanes.Load()
-	st.Hop2Peeled = s.hop2Peeled.Load() + sn.bstats.hop2Peeled.Load()
-	st.HubCacheLanes = s.hubLanes.Load() + sn.bstats.hubLanes.Load()
-	st.HubCachePrunes = s.hubPrunes.Load() + sn.bstats.hubPrunes.Load()
-	if st.BatchLanes > 0 {
-		st.HubCacheHitRate = float64(st.HubCacheLanes) / float64(st.BatchLanes)
-	}
-	return st
 }
 
 // getScratch pools traversal scratch across readers; with steady traffic

@@ -183,7 +183,7 @@ func TestAdoptTerm(t *testing.T) {
 // governs all shards.
 func TestShardedTerm(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpenSharded(t, termGraph(), &ShardedOptions{Shards: 3, Dir: dir, Sync: SyncNone})
+	s := mustOpenSharded(t, termGraph(), &ShardedOptions{Options: Options{Dir: dir, Sync: SyncNone}, Shards: 3})
 	if _, err := s.ApplyBatch([]graph.Update{graph.Insertion(0, 1)}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestShardedTerm(t *testing.T) {
 		t.Fatalf("write after bump: %v", err)
 	}
 	s.Close()
-	s = mustOpenSharded(t, nil, &ShardedOptions{Shards: 3, Dir: dir, Sync: SyncNone})
+	s = mustOpenSharded(t, nil, &ShardedOptions{Options: Options{Dir: dir, Sync: SyncNone}, Shards: 3})
 	defer s.Close()
 	if s.Term() != 10 || s.Fenced() {
 		t.Fatalf("reopened sharded: term %d fenced %v, want 10 unfenced", s.Term(), s.Fenced())

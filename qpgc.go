@@ -144,7 +144,8 @@ type (
 	// vector of per-shard snapshots plus the boundary summary and the
 	// stitched pattern quotient, published together atomically.
 	ShardedSnapshot = store.ShardedSnapshot
-	// ShardedOptions configures OpenSharded.
+	// ShardedOptions configures OpenSharded: the StoreOptions both kinds
+	// share, embedded as Options, plus Shards.
 	ShardedOptions = store.ShardedOptions
 	// ShardedStats is a point-in-time summary of a ShardedStore.
 	ShardedStats = store.ShardedStats
@@ -240,9 +241,10 @@ func Open(g *Graph, opts *StoreOptions) (*Store, error) { return store.Open(g, o
 
 // OpenSharded returns a running ShardedStore with opts.Shards
 // partition-parallel write pipelines. Pass nil opts for the defaults
-// (4 shards, per-shard 2-hop indexes, in-memory). Durability and recovery
-// work as in Open: set ShardedOptions.Dir, and pass a nil graph to recover
-// an existing directory. Close it when done.
+// (4 shards, per-shard 2-hop indexes, in-memory). Every other setting is
+// the embedded StoreOptions, so durability and recovery work as in Open:
+// set opts.Options.Dir, and pass a nil graph to recover an existing
+// directory. Close it when done.
 func OpenSharded(g *Graph, opts *ShardedOptions) (*ShardedStore, error) {
 	return store.OpenSharded(g, opts)
 }
